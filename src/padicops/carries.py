@@ -376,14 +376,15 @@ def sum_estimate(
     """
     _check_scale(idx)
     p, q, n = idx.p, idx.q, idx.n
-    lam, alpha = idx.lam, idx.alpha
+    ln, ld = idx.lam.numerator, idx.lam.denominator
+    an, ad = idx.alpha.numerator, idx.alpha.denominator
     c = q - 1
 
     b1 = PadicNumber.from_rational(1, p, prec)  # binom(lam, r)
     # S_{n,0} = binom(alpha + cn, cn) = prod_{i=1..cn} (alpha + i)/i
     b2 = PadicNumber.from_rational(1, p, prec)
     for i in range(1, c * n + 1):
-        b2 = b2.mul_rational(Fraction(alpha + i, i), prec)
+        b2 = b2.mul_rational(an + i * ad, ad * i, prec)  # (alpha + i)/i
 
     total = PadicNumber.zero(p, 10**9)
     for r in range(n + 1):
@@ -391,14 +392,14 @@ def sum_estimate(
             progress(r, n)
         den = (n - r) * c + 1
         sign = (-1) ** (r + c * (n - r))
-        term = (b1 * b2).mul_rational(Fraction(sign, den), prec)
+        term = (b1 * b2).mul_rational(sign, den, prec)
         total = total + term
         if r < n:
-            b1 = b1.mul_rational(Fraction(lam - r, r + 1), prec)
+            b1 = b1.mul_rational(ln - r * ld, ld * (r + 1), prec)  # (lam - r)/(r + 1)
             # binom(a-c, b-c)/binom(a, b) = prod_{j=b-c+1..b} j/(alpha+j)
             b = c * (n - r)
             for j in range(b - c + 1, b + 1):
-                b2 = b2.mul_rational(Fraction(j, alpha + j), prec)
+                b2 = b2.mul_rational(j * ad, an + j * ad, prec)  # j/(alpha + j)
 
     if total.is_zero():
         raise PrecisionExhausted(

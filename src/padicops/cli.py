@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import random
 import sys
 import time
@@ -64,7 +65,7 @@ class RunConfig:
     def validate(self, level_data: bool = True) -> None:
         """Basic checks always; the (k, d, N) coupling only for commands that
         actually consume the dominant-index data."""
-        if self.p < 2 or any(self.p % i == 0 for i in range(2, min(self.p, 100))):
+        if self.p < 2 or any(self.p % i == 0 for i in range(2, math.isqrt(self.p) + 1)):
             raise ConfigError(f"p = {self.p} is not prime")
         if self.fmt not in ("json", "csv"):
             raise ConfigError(f"unknown format {self.fmt!r}")
@@ -206,6 +207,8 @@ def emit(report: Report, fmt: str) -> str:
     for row in report.rows:
         buf.write(",".join(str(row.get(c, "")) for c in cols) + "\n")
     buf.write(f"# verdict: {report.verdict}\n")
+    if report.runtime_ms is not None:
+        buf.write(f"# runtime_ms: {report.runtime_ms}\n")
     return buf.getvalue()
 
 
@@ -583,8 +586,7 @@ def cmd_star_props(cfg: RunConfig) -> Report:
     fails = 0
     for n in range(1, 10**5, 101):
         s = Fraction(n, cfg.p - 1) - vp_factorial(n, cfg.p)
-        import math as _math
-        if not (0 <= s <= 1 + _math.log(n, cfg.p)):
+        if not (0 <= s <= 1 + math.log(n, cfg.p)):
             fails += 1
     ok &= fails == 0
     rows.append({"check": "factorial_valuation_window", "range": "n<=1e5", "failures": fails,

@@ -9,8 +9,8 @@ numerators would blow up.  All values are immutable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 INF = math.inf
 
@@ -92,26 +92,68 @@ def padic_digits(lam: Rational, count: int, p: int) -> tuple[int, ...]:
 DEFAULT_PREC = 64  # unit digits carried by default, overridable per run
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=1024)
+def _ppow(p: int, k: int) -> int:
+    """p**k, memoised: every operation needs p to a precision, and only a few
+    (p, precision) pairs occur in a run."""
+    return p**k
+
+
+def _split(num: int, den: int, p: int) -> tuple[int, int, int]:
+    """(num', den', v) with num/den = p^v * num'/den' and p dividing neither;
+    num and den must be nonzero and need not be coprime."""
+    v = 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return num, den, v
+
+
 class PadicNumber:
-    """Element of Q_p known modulo p^absprec.
+    """Element of Q_p known modulo p^absprec, stored as four integers.
 
     Nonzero: value = p^val * unit with unit a unit mod p^relprec, so
     absprec = val + relprec.  Tracked zero: unit == 0, relprec == 0 and
     `val` holds the absolute precision (the value is 0 mod p^val).
     Arithmetic never reports more absolute precision than its inputs justify.
+    Instances are immutable and compare and hash by value.
     """
 
-    p: int
-    val: int
-    unit: int
-    relprec: int
+    __slots__ = ("p", "val", "unit", "relprec")
 
-    def __post_init__(self):
-        if self.unit:
-            assert self.unit % self.p != 0 and 0 < self.unit < self.p**self.relprec
-        else:
-            assert self.relprec == 0
+    def __init__(self, p: int, val: int, unit: int, relprec: int):
+        if unit:
+            if unit % p == 0 or not 0 < unit < _ppow(p, relprec):
+                raise ValueError(f"unit {unit} must be prime to {p} and lie in (0, {p}^{relprec})")
+        elif relprec != 0:
+            raise ValueError(f"a tracked zero has relprec 0, not {relprec}")
+        _set_p(self, p)
+        _set_val(self, val)
+        _set_unit(self, unit)
+        _set_relprec(self, relprec)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"PadicNumber is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"PadicNumber is immutable: cannot delete {name!r}")
+
+    def _key(self) -> tuple[int, int, int, int]:
+        return (self.p, self.val, self.unit, self.relprec)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not PadicNumber:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        return (PadicNumber, self._key())
 
     # -- queries ---------------------------------------------------------
 
@@ -151,60 +193,63 @@ class PadicNumber:
 
     @classmethod
     def from_rational(cls, a: Rational, p: int, prec: int = DEFAULT_PREC) -> PadicNumber:
-        a = Fraction(a)
-        if a == 0:
+        """The int or Fraction `a`, known to `prec` unit digits."""
+        num, den = a.numerator, a.denominator
+        if num == 0:
             return cls.zero(p, prec)
-        v = vp_rational(a, p)
-        u = a / Fraction(p) ** v
-        mod = p**prec
-        unit = u.numerator * pow(u.denominator, -1, mod) % mod
-        return cls(p, int(v), unit, prec)
+        num, den, v = _split(num, den, p)
+        mod = _ppow(p, prec)
+        return cls(p, v, num * pow(den, -1, mod) % mod, prec)
 
     # -- arithmetic ------------------------------------------------------
 
-    def _check(self, other: PadicNumber) -> None:
-        if self.p != other.p:
-            raise ValueError("mixed primes")
+    # the hot methods test `unit` directly rather than call is_zero()
 
     def __add__(self, other: PadicNumber) -> PadicNumber:
-        self._check(other)
-        absprec = min(self.absprec, other.absprec)
-        if self.is_zero() and other.is_zero():
-            return PadicNumber.zero(self.p, absprec)
+        p = self.p
+        if other.p != p:
+            raise ValueError("mixed primes")
+        absprec = min(self.val + self.relprec, other.val + other.relprec)
+        if not self.unit and not other.unit:
+            return PadicNumber.zero(p, absprec)
         base = min(self.val, other.val, absprec)
-        mod = self.p ** (absprec - base)
         rep = 0
-        for t in (self, other):
-            if not t.is_zero():
-                rep += t.unit * self.p ** (t.val - base)
-        rep %= mod
+        if self.unit:
+            rep = self.unit * _ppow(p, self.val - base)
+        if other.unit:
+            rep += other.unit * _ppow(p, other.val - base)
+        rep %= _ppow(p, absprec - base)
         if rep == 0:
-            return PadicNumber.zero(self.p, absprec)
-        v = int(vp_int(rep, self.p))
-        unit = (rep // self.p**v) % self.p ** (absprec - base - v)
-        return PadicNumber(self.p, base + v, unit, absprec - base - v)
+            return PadicNumber.zero(p, absprec)
+        v = 0
+        while rep % p == 0:
+            rep //= p
+            v += 1
+        return PadicNumber(p, base + v, rep, absprec - base - v)
 
     def __neg__(self) -> PadicNumber:
         if self.is_zero():
             return self
-        return PadicNumber(self.p, self.val, self.p**self.relprec - self.unit, self.relprec)
+        return PadicNumber(self.p, self.val, _ppow(self.p, self.relprec) - self.unit, self.relprec)
 
     def __sub__(self, other: PadicNumber) -> PadicNumber:
         return self + (-other)
 
     def __mul__(self, other: PadicNumber) -> PadicNumber:
-        self._check(other)
-        if self.is_zero() or other.is_zero():
+        p = self.p
+        if other.p != p:
+            raise ValueError("mixed primes")
+        if not self.unit or not other.unit:
             # 0 mod p^A times p^v*unit is 0 mod p^(A+v); two zeros: 0 mod p^(A+B)
-            a = self.absprec if self.is_zero() else self.val
-            b = other.absprec if other.is_zero() else other.val
-            return PadicNumber.zero(self.p, a + b)
+            a = self.val if self.unit else self.absprec
+            b = other.val if other.unit else other.absprec
+            return PadicNumber.zero(p, a + b)
         rel = min(self.relprec, other.relprec)
-        unit = self.unit * other.unit % self.p**rel
-        return PadicNumber(self.p, self.val + other.val, unit, rel)
+        return PadicNumber(p, self.val + other.val, self.unit * other.unit % _ppow(p, rel), rel)
 
     def __truediv__(self, other: PadicNumber) -> PadicNumber:
-        self._check(other)
+        if other.p != self.p:
+            raise ValueError("mixed primes")
         if other.is_zero():
             raise PrecisionExhausted(
                 f"division by a value indistinguishable from zero mod p^{other.absprec}"
@@ -212,13 +257,30 @@ class PadicNumber:
         if self.is_zero():
             return PadicNumber.zero(self.p, self.absprec - other.val)
         rel = min(self.relprec, other.relprec)
-        mod = self.p**rel
+        mod = _ppow(self.p, rel)
         unit = self.unit * pow(other.unit, -1, mod) % mod
         return PadicNumber(self.p, self.val - other.val, unit, rel)
 
-    def mul_rational(self, a: Rational, prec: int | None = None) -> PadicNumber:
-        """Multiply by an exact rational scalar (full available precision)."""
-        return self * PadicNumber.from_rational(a, self.p, prec or max(self.relprec, 1))
+    def mul_rational(self, num: int, den: int, prec: int | None = None) -> PadicNumber:
+        """self * num/den for integers num, den (not necessarily coprime).
+
+        The scalar counts as known to `prec` unit digits (default: this
+        number's relprec, at least 1), so the result equals
+        self * from_rational(num/den, p, prec) without building the scalar.
+        """
+        if den == 0:
+            raise ZeroDivisionError(f"mul_rational by {num}/0")
+        p = self.p
+        prec = prec or max(self.relprec, 1)
+        if num == 0:
+            # 0 mod p^prec times p^v*unit is 0 mod p^(prec+v); times a zero known mod p^A: p^(prec+A)
+            return PadicNumber.zero(p, (self.val if self.unit else self.absprec) + prec)
+        num, den, v = _split(num, den, p)
+        if not self.unit:
+            return PadicNumber.zero(p, self.absprec + v)
+        rel = min(self.relprec, prec)
+        mod = _ppow(p, rel)
+        return PadicNumber(p, self.val + v, self.unit * num * pow(den, -1, mod) % mod, rel)
 
     # -- comparisons -----------------------------------------------------
 
@@ -230,6 +292,12 @@ class PadicNumber:
         return d.is_zero() or d.val >= absprec
 
 
+# slot setters for __init__, which has to get past the immutable __setattr__
+_set_p, _set_val, _set_unit, _set_relprec = (
+    PadicNumber.__dict__[name].__set__ for name in PadicNumber.__slots__
+)
+
+
 def padic_binom(lam: Rational, n: int, p: int, prec: int = DEFAULT_PREC) -> PadicNumber:
     """binom(lam, n) for a rational p-adic integer lam, evaluated incrementally.
 
@@ -239,12 +307,13 @@ def padic_binom(lam: Rational, n: int, p: int, prec: int = DEFAULT_PREC) -> Padi
     lam = Fraction(lam)
     if not is_p_integral(lam, p):
         raise ValueError(f"{lam} is not p-integral")
+    a, b = lam.numerator, lam.denominator
     out = PadicNumber.from_rational(1, p, prec)
     for i in range(1, n + 1):
-        num = lam - i + 1
+        num = a - (i - 1) * b  # (lam - i + 1) * b
         if num == 0:
             return PadicNumber.zero(p, prec + out.val)
-        out = out.mul_rational(Fraction(num, i), prec)
+        out = out.mul_rational(num, b * i, prec)
     return out
 
 

@@ -354,10 +354,6 @@ class RationalFunction:
             raise ValueError("not a constant")
         return self.num[0]
 
-    def leading_scalar(self) -> Fraction:
-        """The scalar lambda in lambda * prod (x-a)^e (den is monic)."""
-        return self.num.coeffs[-1]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFunction):
             return NotImplemented
@@ -622,9 +618,6 @@ class FirstOrderOperator:
 
     c1: RationalFunction
     c0: RationalFunction
-
-    def apply(self, f: RationalFunction) -> RationalFunction:
-        return self.c1 * f.derivative() + self.c0 * f
 
     def scale(self, a: Rational) -> FirstOrderOperator:
         return FirstOrderOperator(self.c1.scale(a), self.c0.scale(a))

@@ -204,10 +204,6 @@ class PSeries:
                     out[i + j] = out[i + j] + a * b
         return PSeries(self.p, self.prec, out)
 
-    def scale_rational(self, a: Rational) -> PSeries:
-        s = PadicNumber.from_rational(a, self.p, self.prec)
-        return PSeries(self.p, self.prec, [c * s for c in self.coeffs])
-
     def add_shifted(self, other: PSeries, k: int, scalar: PadicNumber) -> PSeries:
         """self + scalar * y^k * other, in place semantics but pure."""
         out = list(self.coeffs)
@@ -235,14 +231,15 @@ def p_binomial_series(
     preserved (alpha must be p-integral for p-integral coefficients).
     """
     alpha = Fraction(alpha)
+    an, ad = alpha.numerator, alpha.denominator
     out = [PadicNumber.zero(p, 10**9) for _ in range(order)]
     b = PadicNumber.from_rational(1, p, prec)
     m = 0
     while m * stride < order:
         out[m * stride] = b if m % 2 == 0 else -b
-        num = alpha - m
+        num = an - m * ad  # (alpha - m) * ad
         if num == 0:
             break
-        b = b.mul_rational(Fraction(num, m + 1), prec)
+        b = b.mul_rational(num, ad * (m + 1), prec)
         m += 1
     return PSeries(p, prec, out)

@@ -143,13 +143,6 @@ class SkewLaurentSeries:
             {k: f * v for k, v in self.coeffs.items()}, self.lo_exact, self.hi_exact
         )
 
-    def clip(self, lo: int, hi: int | None = None) -> SkewLaurentSeries:
-        """Drop coefficients outside [lo, hi], marking the cut sides inexact."""
-        out = {k: v for k, v in self.coeffs.items() if k >= lo and (hi is None or k <= hi)}
-        lo_ex = self.lo_exact and (not self.coeffs or min(self.coeffs) >= lo)
-        hi_ex = self.hi_exact and (hi is None or not self.coeffs or max(self.coeffs) <= hi)
-        return SkewLaurentSeries(out, lo_ex, hi_ex)
-
 
 def star(u: SkewLaurentSeries, v: SkewLaurentSeries, lo: int | None = None) -> SkewLaurentSeries:
     """Star product of two stored windows, computed exactly pair by pair.
@@ -337,9 +330,6 @@ class DividedPowerOperator:
     level: int
     p: int
     coeffs: tuple[tuple[int, RationalFunction], ...]
-
-    def as_dict(self) -> dict[int, RF]:
-        return dict(self.coeffs)
 
 
 def to_level_m(u: SkewLaurentSeries, m: int, p: int) -> DividedPowerOperator:

@@ -264,20 +264,21 @@ def phi_series_coefficient(p: int, q: int, k: int, d: int, n_target: int, prec: 
     via capped-precision series assembly (Phi projects onto powers of s)."""
     _check_params(p, q, k, d)
     lam = F(k, d)
+    ln, ld = lam.numerator, lam.denominator
     order = (q - 1) * n_target + 1
     S = PSeries.zero(p, prec, order)
     bk = PadicNumber.from_rational(1, p, prec)
     for r in range(n_target + 1):
-        mu = 1 + q * lam - (q - 1) * r
+        mun = ld + q * ln - (q - 1) * r * ld  # mu = 1 + q lam - (q-1) r = mun/ld
         blen = order - (q - 1) * r
         b = PadicNumber.from_rational(1, p, prec)
         coeffs = []
         for n in range(blen):
-            coeffs.append(b.mul_rational(F((-1) ** (n + 1), n + 1), prec))
-            b = b.mul_rational(F(mu - 1 - n, n + 1), prec)
+            coeffs.append(b.mul_rational(-1 if n % 2 == 0 else 1, n + 1, prec))
+            b = b.mul_rational(mun - (1 + n) * ld, ld * (n + 1), prec)  # (mu - 1 - n)/(n + 1)
         Br = PSeries(p, prec, coeffs)
         S = S.add_shifted(Br, (q - 1) * r, bk if r % 2 == 0 else -bk)
-        bk = bk.mul_rational(F(lam - r, r + 1), prec)
+        bk = bk.mul_rational(ln - r * ld, ld * (r + 1), prec)  # (lam - r)/(r + 1)
     zeta = S.mul(p_binomial_series(-lam, p, prec, order, q - 1))
     phi = zeta.stride_part(q - 1)
     final = phi.mul(p_binomial_series(lam, p, prec, n_target + 1, 1))

@@ -45,6 +45,18 @@ class TestFormatting:
         assert "runtime_ms" not in json.loads(emit(rep, "json"))
         rep2 = Report("x", "c", {}, [], "pass", runtime_ms=12)
         assert json.loads(emit(rep2, "json"))["runtime_ms"] == 12
+        assert "runtime_ms" not in emit(rep, "csv")
+        assert emit(rep2, "csv").endswith("# verdict: pass\n# runtime_ms: 12\n")
+
+    def test_csv_timing_from_cli(self):
+        args = ["qexp-check", "--p", "2", "--f", "1", "--k", "1", "--d", "3", "--N", "6",
+                "--format", "csv"]
+        code, out, _ = run_cli(args)
+        assert code == EXIT_OK and "runtime_ms" not in out
+        code, out, _ = run_cli([*args, "--timing"])
+        last = out.splitlines()[-1]
+        assert code == EXIT_OK and last.startswith("# runtime_ms: ")
+        assert int(last.removeprefix("# runtime_ms: ")) >= 0
 
     def test_csv_json_round_trip(self):
         rows = [{"a": 1, "b": "-3/2"}, {"a": 2, "b": "inf"}]
@@ -94,11 +106,25 @@ class TestConfig:
         with pytest.raises(ConfigError, match="coprime"):
             RunConfig(p=2, d=2, k=1).validate(level_data=False)
 
+    @pytest.mark.parametrize("p", [1, 4, 10403, 101 * 101, 9973 * 9967])
+    def test_composite_p_rejected(self, p):
+        # 10403 = 101 * 103 has no factor below 100
+        with pytest.raises(ConfigError, match="not prime"):
+            RunConfig(p=p, d=2).validate(level_data=False)
+
+    @pytest.mark.parametrize("p", [2, 3, 97, 101, 10007])
+    def test_primes_accepted(self, p):
+        RunConfig(p=p, d=p + 1 if p == 2 else 2).validate(level_data=False)
+
 
 class TestEndToEnd:
     def test_missing_config_file_exit_2(self):
         code, _, err = run_cli(["sum-estimate", "--config", "/no/such/file.toml"])
         assert code == EXIT_USAGE and "config error" in err
+
+    def test_composite_p_exit_2(self):
+        code, _, err = run_cli(["kummer-table", "--p", "10403", "--d", "2"])
+        assert code == EXIT_USAGE and "not prime" in err
 
     def test_parity_violation_exit_2(self):
         code, _, err = run_cli(["sum-estimate", "--p", "3", "--k", "1", "--d", "4", "--N", "7"])

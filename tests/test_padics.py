@@ -1,9 +1,16 @@
+import copy
+import os
+import pickle
+import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import padicops
 from padicops.padics import (
     INF,
     PadicNumber,
@@ -174,6 +181,112 @@ class TestPadicNumber:
             got = pa / pb
             want = PadicNumber.from_rational(a / b, p, 40)
             assert got.same_mod(want, min(got.absprec, 20))
+
+
+    def test_value_equality_hash_and_immutability(self):
+        a = PadicNumber.from_rational(F(1, 2), 3, 10)
+        b = PadicNumber.from_rational(F(2, 4), 3, 10)
+        assert a == b and a is not b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != PadicNumber.from_rational(F(1, 2), 3, 11)
+        assert a != PadicNumber.from_rational(F(1, 2), 5, 10)
+        assert a != (a.p, a.val, a.unit, a.relprec)
+        assert PadicNumber.zero(3, 7) == PadicNumber.zero(3, 7) != PadicNumber.zero(3, 8)
+        with pytest.raises(AttributeError):
+            a.unit = 1
+        with pytest.raises(AttributeError):
+            a.extra = 1
+        with pytest.raises(AttributeError):
+            del a.val
+        assert (a.p, a.val, a.unit, a.relprec) == (b.p, b.val, b.unit, b.relprec)
+        assert pickle.loads(pickle.dumps(a)) == a and copy.deepcopy(a) == a
+
+    @pytest.mark.parametrize("args", [(3, 0, 9, 1), (3, 0, 3, 2), (3, 0, 9, 2), (3, 0, -1, 2), (3, 4, 0, 2)])
+    def test_constructor_rejects_broken_invariants(self, args):
+        with pytest.raises(ValueError):
+            PadicNumber(*args)
+
+    def test_invariant_checks_survive_optimize_flag(self):
+        src = os.path.dirname(os.path.dirname(padicops.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c",
+             "from padicops.padics import PadicNumber; print(PadicNumber(3, 0, 9, 1))"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode != 0 and "ValueError" in proc.stderr, proc.stdout + proc.stderr
+
+
+def _check_mul_rational(x, exact_x, num, den, prec):
+    """x.mul_rational(num, den, prec) against exact Fraction arithmetic, with
+    exact_x the rational that x approximates (0 for a tracked zero)."""
+    p = x.p
+    got = x.mul_rational(num, den, prec)
+    scalar_prec = prec or max(x.relprec, 1)
+    # the product by a scalar known to scalar_prec digits, built the long way
+    assert got == x * PadicNumber.from_rational(F(num, den), p, scalar_prec)
+    if num == 0:
+        assert got.is_zero()
+        assert got.absprec == (x.absprec if x.is_zero() else x.val) + scalar_prec
+        return
+    v = vp_rational(F(num, den), p)
+    if x.is_zero():
+        assert got.is_zero() and got.absprec == x.absprec + v
+        return
+    exact = exact_x * F(num, den)
+    assert got.valuation() == vp_rational(exact, p)
+    assert got.relprec == min(x.relprec, scalar_prec)
+    assert got.same_mod(PadicNumber.from_rational(exact, p, got.relprec + 5), got.absprec)
+
+
+class TestMulRational:
+    @given(
+        a=st.one_of(st.just(F(0)), rationals),
+        num=st.integers(min_value=-10**6, max_value=10**6),
+        den=st.integers(min_value=-10**4, max_value=10**4).filter(bool),
+        p=primes,
+        relprec=st.integers(min_value=1, max_value=40),
+        prec=st.one_of(st.none(), st.integers(min_value=1, max_value=40)),
+    )
+    @settings(max_examples=300)
+    def test_against_exact(self, a, num, den, p, relprec, prec):
+        x = PadicNumber.from_rational(a, p, relprec) if a else PadicNumber.zero(p, relprec)
+        _check_mul_rational(x, a, num, den, prec)
+
+    def test_bulk_against_exact(self):
+        # zero scalar, tracked zeros, non-coprime and negative num/den,
+        # den divisible by p, and prec below, at and above relprec
+        rng = random.Random(7)
+        for _ in range(3000):
+            p = rng.choice(PRIMES)
+            relprec = rng.randrange(1, 50)
+            if rng.random() < 0.15:
+                a = F(0)
+                x = PadicNumber.zero(p, rng.randrange(-5, 60))
+            else:
+                a = F(rng.randrange(1, 10**5), rng.randrange(1, 10**3)) * F(p) ** rng.randrange(-4, 5)
+                a = -a if rng.random() < 0.5 else a
+                x = PadicNumber.from_rational(a, p, relprec)
+            g = rng.randrange(1, 30) * p ** rng.randrange(0, 3)  # common factor
+            num = g * rng.randrange(-10**4, 10**4) * p ** rng.randrange(0, 4)
+            den = g * rng.choice([-1, 1]) * rng.randrange(1, 10**3) * p ** rng.randrange(0, 4)
+            prec = rng.choice([None, rng.randrange(1, relprec + 1), rng.randrange(relprec, 2 * relprec + 1)])
+            _check_mul_rational(x, a, num, den, prec)
+
+    def test_examples(self):
+        x = PadicNumber.from_rational(F(1, 2), 3, 10)
+        assert x.mul_rational(0, 7) == PadicNumber.zero(3, 10)
+        assert x.mul_rational(6, 4) == PadicNumber.from_rational(F(3, 4), 3, 10)
+        assert x.mul_rational(4, -9, 3) == PadicNumber.from_rational(F(-2, 9), 3, 3)
+        assert PadicNumber.zero(3, 5).mul_rational(1, 3) == PadicNumber.zero(3, 4)
+        with pytest.raises(ZeroDivisionError):
+            x.mul_rational(1, 0)
+
+    def test_from_rational_strips_p(self):
+        for a, p in [(F(-18, 35), 3), (F(5, 48), 2), (250, 5), (-1, 7)]:
+            x = PadicNumber.from_rational(a, p, 12)
+            assert x.val == vp_rational(a, p) and x.relprec == 12
+            u = F(a) / F(p) ** x.val
+            assert (x.unit * u.denominator - u.numerator) % p**12 == 0
 
 
 class TestPadicBinom:
