@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 Rational = Fraction | int
@@ -24,23 +25,51 @@ Rational = Fraction | int
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Poly:
-    """Dense univariate polynomial over Q; coeffs[i] is the x^i coefficient."""
+    """Dense univariate polynomial over Q, held as integer numerators over one
+    denominator: p(x) = (num[0] + num[1] x + ... + num[n] x^n) / den.
 
-    coeffs: tuple[Fraction, ...]
+    Normal form: no trailing zero in num, den > 0, gcd(content, den) = 1, and
+    den = 1 for the zero polynomial, so equality and hashing compare
+    (num, den).  Arithmetic runs on integers only; `coeffs` is the Fraction
+    view (coeffs[i] is the x^i coefficient), built on demand.  Instances are
+    immutable.
+    """
 
-    def __post_init__(self):
-        c = self.coeffs
-        n = len(c)
-        while n and c[n - 1] == 0:
-            n -= 1
-        if n != len(c):
-            object.__setattr__(self, "coeffs", c[:n])
+    __slots__ = ("num", "den")
+
+    def __init__(self, coeffs: Iterable[Rational] = ()):
+        cs = [Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in cs))
+        num, den = _normal([c.numerator * (den // c.denominator) for c in cs], den)
+        _set_num(self, num)
+        _set_den(self, den)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"Poly is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Poly is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (_raw, (self.num, self.den))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Poly:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     @classmethod
     def of(cls, *coeffs: Rational) -> Poly:
-        return cls(tuple(Fraction(c) for c in coeffs))
+        return cls(coeffs)
 
     @classmethod
     def x_minus(cls, a: Rational) -> Poly:
@@ -51,38 +80,59 @@ class Poly:
         return cls.of(a)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def __getitem__(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        return Fraction(self.num[i], self.den) if 0 <= i < len(self.num) else Fraction(0)
 
     def __add__(self, other: Poly) -> Poly:
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(tuple(self[i] + other[i] for i in range(n)))
+        a, b = self.num, other.num
+        if not b:
+            return self
+        if not a:
+            return other
+        da, db = self.den, other.den
+        if da == db:
+            den = da
+        else:
+            g = gcd(da, db)
+            fa, fb = db // g, da // g
+            den = da * fa
+            a = [c * fa for c in a]
+            b = [c * fb for c in b]
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return _make(out, den)
 
     def __neg__(self) -> Poly:
-        return Poly(tuple(-c for c in self.coeffs))
+        return _raw(tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other: Poly) -> Poly:
         return self + (-other)
 
     def __mul__(self, other: Poly) -> Poly:
-        if self.is_zero() or other.is_zero():
-            return Poly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly(tuple(out))
+        a, b = self.num, other.num
+        if not a or not b:
+            return _ZERO
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return _make(out, self.den * other.den)
 
     def scale(self, a: Rational) -> Poly:
-        a = Fraction(a)
-        return Poly(tuple(a * c for c in self.coeffs))
+        n = a.numerator
+        if not n or not self.num:
+            return _ZERO
+        return _make([c * n for c in self.num], self.den * a.denominator)
 
     def __pow__(self, n: int) -> Poly:
         out, base = Poly.of(1), self
@@ -96,61 +146,134 @@ class Poly:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        div = other.coeffs
+        dq = len(rem) - len(div)
         if dq < 0:
-            return Poly(()), self
+            return _ZERO, self
         quot = [Fraction(0)] * (dq + 1)
-        lead = other.coeffs[-1]
+        lead = div[-1]
         for i in range(dq, -1, -1):
-            c = rem[i + other.degree()] / lead
+            c = rem[i + len(div) - 1] / lead
             quot[i] = c
             if c:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(div):
                     rem[i + j] -= c * b
-        return Poly(tuple(quot)), Poly(tuple(rem))
+        return Poly(quot), Poly(rem)
 
     def synth_div(self, root: Rational) -> tuple[Poly, Fraction]:
-        """Divide by (x - root): returns (quotient, remainder value)."""
-        root = Fraction(root)
-        out: list[Fraction] = []
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * root + c
-            out.append(acc)
-        rem = out.pop() if out else Fraction(0)
-        return Poly(tuple(reversed(out))), rem
+        """Divide by (x - root): returns (quotient, remainder value).
+
+        Integer Horner for root = rn/rd and numerators c_k: A_n = c_n and
+        A_k = A_{k+1} rn + c_k rd^(n-k), so the quotient's x^(k-1)
+        coefficient is A_k / (rd^(n-k) den) and the remainder A_0 / (rd^n den).
+        """
+        c = self.num
+        n = len(c) - 1
+        if n <= 0:
+            return _ZERO, self[0]
+        rn, rd = root.numerator, root.denominator
+        acc, pw = c[n], rd
+        hs = [acc]  # A_n, A_(n-1), ..., A_1
+        for k in range(n - 1, 0, -1):
+            acc = acc * rn + c[k] * pw
+            hs.append(acc)
+            pw *= rd
+        rem = Fraction(acc * rn + c[0] * pw, pw * self.den)
+        hs.reverse()
+        # over the common denominator rd^(n-1) den, x^j has A_(j+1) rd^j
+        if rd != 1:
+            pw = 1
+            for j in range(n):
+                hs[j] *= pw
+                pw *= rd
+        return _make(hs, rd ** (n - 1) * self.den), rem
 
     def derivative(self) -> Poly:
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i)) if self.coeffs else self
+        num = self.num
+        if len(num) <= 1:
+            return _ZERO
+        return _make([i * c for i, c in enumerate(num) if i], self.den)
+
+    def _horner(self, x: Rational) -> int:
+        """den xd^n p(x) for x = xn/xd and n = deg p: an integer, zero iff p(x) is."""
+        xn, xd = x.numerator, x.denominator
+        acc, pw = 0, 1
+        for c in reversed(self.num):
+            acc = acc * xn + c * pw
+            pw *= xd
+        return acc
 
     def eval(self, x: Rational) -> Fraction:
-        out = Fraction(0)
-        for c in reversed(self.coeffs):
-            out = out * Fraction(x) + c
-        return out
+        return Fraction(self._horner(x), self.den * x.denominator ** max(self.degree(), 0))
+
+    def is_root(self, x: Rational) -> bool:
+        """p(x) == 0, without building the quotient that synth_div would."""
+        return self._horner(x) == 0
 
     def shift(self, a: Rational) -> Poly:
-        """p(x + a), via Horner in x + a."""
-        out = Poly(())
-        xa = Poly.of(Fraction(a), 1)
-        for c in reversed(self.coeffs):
-            out = out * xa + Poly.const(c)
-        return out
+        """p(x + a), by an integer Taylor shift.
+
+        With a = an/ad and n = deg p, R(z) = ad^n den p((z + an)/ad) has
+        integer coefficients and p(x + a) = R(ad x) / (ad^n den).
+        """
+        num = self.num
+        if not a or len(num) <= 1:
+            return self
+        an, ad = a.numerator, a.denominator
+        n = len(num) - 1
+        r = [c * ad ** (n - k) for k, c in enumerate(num)]
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                r[j] += an * r[j + 1]
+        return _make([c * ad**j for j, c in enumerate(r)], ad**n * self.den)
 
     def compose_fractional(self, num: Poly, den: Poly) -> tuple[Poly, int]:
         """p(num/den) cleared of denominators: returns (P, e) with
         p(num/den) = P / den^e and e = max(deg p, 0)."""
         e = max(self.degree(), 0)
-        out = Poly(())
-        for i, c in enumerate(self.coeffs):
-            out = out + (num**i * den ** (e - i)).scale(c)
-        return out, e
+        out = _ZERO
+        for i, c in enumerate(self.num):
+            if c:
+                out = out + (num**i * den ** (e - i)).scale(c)
+        return out.scale(Fraction(1, self.den)), e
 
     def __repr__(self) -> str:
         if self.is_zero():
             return "Poly(0)"
         terms = [f"{c}*x^{i}" for i, c in enumerate(self.coeffs) if c]
         return "Poly(" + " + ".join(terms) + ")"
+
+
+_set_num, _set_den = (Poly.__dict__[name].__set__ for name in Poly.__slots__)
+
+
+def _normal(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """(num, den) in normal form; den must be positive, num is consumed."""
+    n = len(num)
+    while n and not num[n - 1]:
+        n -= 1
+    if not n:
+        return (), 1
+    del num[n:]
+    g = gcd(den, *num)
+    if g != 1:
+        return tuple(c // g for c in num), den // g
+    return tuple(num), den
+
+
+def _raw(num: tuple[int, ...], den: int) -> Poly:
+    """A Poly from parts already in normal form."""
+    out = object.__new__(Poly)
+    _set_num(out, num)
+    _set_den(out, den)
+    return out
+
+
+def _make(num: list[int], den: int) -> Poly:
+    return _raw(*_normal(num, den))
+
+
+_ZERO = _raw((), 1)
 
 
 class NonRationalRoots(ValueError):
@@ -179,7 +302,7 @@ def _normalize_factors(items: Iterable[tuple[Rational, int]]) -> Factors:
 def rational_roots(poly: Poly) -> list[tuple[Fraction, int]]:
     """Full factorisation of poly into rational linear factors, or raise.
 
-    The constant content is not returned; use poly.coeffs[-1] for the scalar.
+    The constant content is not returned; use poly[poly.degree()] for the scalar.
     """
     out: list[tuple[Fraction, int]] = []
     rem = poly
@@ -187,11 +310,8 @@ def rational_roots(poly: Poly) -> list[tuple[Fraction, int]]:
         raise ValueError("cannot factor the zero polynomial")
     for cand in _root_candidates(poly):
         mult = 0
-        while rem.degree() > 0:
-            quot, r = rem.synth_div(cand)
-            if r != 0:
-                break
-            rem = quot
+        while rem.degree() > 0 and rem.is_root(cand):
+            rem = rem.synth_div(cand)[0]
             mult += 1
         if mult:
             out.append((cand, mult))
@@ -202,20 +322,16 @@ def rational_roots(poly: Poly) -> list[tuple[Fraction, int]]:
 
 def _root_candidates(poly: Poly) -> Iterable[Fraction]:
     """Rational root candidates p/q with p | trailing, q | leading coefficient."""
-    coeffs = poly.coeffs
-    if not coeffs:
+    num = poly.num
+    if not num:
         return
     k = 0
-    while coeffs[k] == 0:
+    while num[k] == 0:
         k += 1
     if k:
         yield Fraction(0)
-    from math import gcd, lcm
-
-    den = 1
-    for c in coeffs:
-        den = lcm(den, c.denominator)
-    a0, an = abs(int(coeffs[k] * den)), abs(int(coeffs[-1] * den))
+    # the numerators are integers over one denominator: a0 and an scale alike
+    a0, an = abs(num[k]), abs(num[-1])
     seen = set()
     for pp in _divisors(a0):
         for qq in _divisors(an):
@@ -262,7 +378,7 @@ class RationalFunction:
         if isinstance(den, Poly):
             if den.is_zero():
                 raise ZeroDivisionError("zero denominator")
-            lead = den.coeffs[-1]
+            lead = den[den.degree()]
             factors: Iterable[tuple[Rational, int]] = rational_roots(den)
             num = num.scale(1 / lead)
         elif isinstance(den, Mapping):
@@ -286,11 +402,8 @@ class RationalFunction:
         cancelled: dict[Fraction, int] = {}
         for r, m in norm:
             m0 = m
-            while m > 0 and not num.is_zero():
-                quot, rem = num.synth_div(r)
-                if rem != 0:
-                    break
-                num, m = quot, m - 1
+            while m > 0 and not num.is_zero() and num.is_root(r):
+                num, m = num.synth_div(r)[0], m - 1
             if m:
                 reduced.append((r, m))
             if m != m0:
@@ -400,7 +513,7 @@ class RationalFunction:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         numf = self.numf if self.numf is not None else dict(rational_roots(self.num))
-        scalar = self.num.coeffs[-1]
+        scalar = self.num[self.num.degree()]
         return RationalFunction(
             expand_factors(self.den_factors).scale(1 / scalar),
             numf,

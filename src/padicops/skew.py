@@ -150,7 +150,8 @@ def star(u: SkewLaurentSeries, v: SkewLaurentSeries, lo: int | None = None) -> S
     The (i, j) coefficient pair contributes binom(i, i+j-k) u_i delta^(i+j-k)(v_j)
     to degree k.  For i >= 0 the binomial truncates the inner sum; for i < 0 it
     never does, and `lo` cuts the computation (defaulting to the input windows'
-    lower edge minus the default window size).
+    lower edge minus the default window size).  Each delta^m(v_j) is computed
+    once and shared by every i.
 
     Exactness: the result is marked lo_exact only if no contribution was
     clipped at `lo`; it inherits hi/lo exactness of the inputs.
@@ -162,13 +163,17 @@ def star(u: SkewLaurentSeries, v: SkewLaurentSeries, lo: int | None = None) -> S
         lo = v.lo() if u.lo() >= 0 else u.lo() + v.lo() - DEFAULT_WINDOW
     out: dict[int, RF] = {}
     clipped = False
+    # derivs[j][m] = delta^m(v_j), grown only as far as some pair needs it
+    derivs = {j: [vj] for j, vj in v.coeffs.items()}
     for i, ui in u.coeffs.items():
-        for j, vj in v.coeffs.items():
+        for j, dj in derivs.items():
             m = 0
-            d = vj
             while True:
                 if i >= 0 and m > i:
                     break
+                if m == len(dj):
+                    dj.append(dj[-1].derivative())
+                d = dj[m]
                 if d.is_zero():
                     break
                 k = i + j - m
@@ -180,7 +185,6 @@ def star(u: SkewLaurentSeries, v: SkewLaurentSeries, lo: int | None = None) -> S
                     term = ui * d if b == 1 else (ui * d).scale(b)
                     out[k] = out[k] + term if k in out else term
                 m += 1
-                d = d.derivative()
     lo_exact = u.lo_exact and v.lo_exact and not clipped
     hi_exact = u.hi_exact and v.hi_exact
     return SkewLaurentSeries(out, lo_exact, hi_exact)
@@ -314,7 +318,8 @@ def binomb(k: int, kp: int, m: int, p: int) -> int:
     qk, qa, qb = qfloor(k, m, p), qfloor(kp, m, p), qfloor(k - kp, m, p)
     num = math.factorial(qk)
     den = math.factorial(qa) * math.factorial(qb)
-    assert num % den == 0
+    if num % den:
+        raise ValueError(f"q_{k}! is not divisible by q_{kp}! q_{k - kp}! at level {m}, p = {p}")
     return num // den
 
 

@@ -1,6 +1,9 @@
 import json
+import math
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -8,14 +11,18 @@ from padicops.cli import (
     EXIT_MATH,
     EXIT_OK,
     EXIT_USAGE,
+    PRIME_BASES,
+    PRIME_BOUND,
     ConfigError,
     Report,
     RunConfig,
     build_config,
     emit,
     fmt_val,
+    is_prime,
     main,
     parse_config_file,
+    strong_probable_prime,
 )
 from fractions import Fraction as F
 
@@ -115,6 +122,57 @@ class TestConfig:
     @pytest.mark.parametrize("p", [2, 3, 97, 101, 10007])
     def test_primes_accepted(self, p):
         RunConfig(p=p, d=p + 1 if p == 2 else 2).validate(level_data=False)
+
+
+class TestPrimality:
+    def test_agrees_with_trial_division(self):
+        for n in range(-2, 20000):
+            want = n >= 2 and all(n % i for i in range(2, math.isqrt(n) + 1))
+            assert is_prime(n) == want, n
+
+    @pytest.mark.parametrize("n", [561, 1105, 2047, 1373653, 25326001, 3215031751, 341550071728321,
+                                   3825123056546413051, 318665857834031151167461])
+    def test_carmichael_numbers_and_strong_pseudoprimes_rejected(self, n):
+        # each is composite; from 2047 on each is a strong pseudoprime to 2
+        assert not is_prime(n)
+
+    def test_bound_is_the_first_pseudoprime_to_all_bases(self):
+        assert PRIME_BOUND == 1287836182261 * 2575672364521
+        assert all(strong_probable_prime(PRIME_BOUND, a) for a in PRIME_BASES)
+        with pytest.raises(ValueError):
+            is_prime(PRIME_BOUND)
+
+    def test_mersenne_61_validates_fast(self):
+        t0 = time.perf_counter()
+        RunConfig(p=2**61 - 1, d=2).validate(level_data=False)
+        assert time.perf_counter() - t0 < 0.1
+        assert is_prime(2**31 - 1) and not is_prime(2**67 - 1)  # 2^67 - 1 = 193707721 * 761838257287
+
+    def test_past_the_bound_rejected(self):
+        with pytest.raises(ConfigError, match="too large"):
+            RunConfig(p=2**107 - 1, d=2).validate(level_data=False)
+
+    def test_strong_pseudoprime_exit_2(self):
+        # 3215031751 passes Miller-Rabin to the bases 2, 3, 5 and 7
+        code, _, err = run_cli(["kummer-table", "--p", "3215031751", "--d", "2"])
+        assert code == EXIT_USAGE and "not prime" in err
+
+    def test_past_the_bound_exit_2(self):
+        code, _, err = run_cli(["kummer-table", "--p", str(PRIME_BOUND + 2), "--d", "2"])
+        assert code == EXIT_USAGE and "too large" in err
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("command", ["beta-check", "cocycle-check"])
+def test_default_output_matches_golden_bytes(command):
+    proc = subprocess.run(
+        [sys.executable, "-m", "padicops", command, "--config", str(REPO / "default.toml")],
+        capture_output=True,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr.decode()
+    assert proc.stdout == (REPO / "tests" / "golden" / f"{command}.json").read_bytes()
 
 
 class TestEndToEnd:

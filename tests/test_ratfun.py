@@ -1,3 +1,6 @@
+import copy
+import math
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -57,6 +60,152 @@ class TestPoly:
         assert roots == {F(1, 2): 2, F(-3): 1}
         with pytest.raises(NonRationalRoots):
             rational_roots(Poly.of(1, 0, 1))
+
+
+# -- a plain-Fraction oracle for the integer kernel ---------------------------
+
+wide_fracs = st.fractions(min_value=-60, max_value=60, max_denominator=30)
+coeff_lists = st.lists(wide_fracs | st.just(F(0)), max_size=7)
+roots = st.fractions(min_value=-12, max_value=12, max_denominator=10)
+
+
+def trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def o_add(a, b):
+    n = max(len(a), len(b))
+    return trim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
+
+
+def o_mul(a, b):
+    out = [F(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return trim(out)
+
+
+def o_horner(cs, r):
+    """Synthetic division by (x - r): (quotient, remainder) as Fractions."""
+    acc, out = F(0), []
+    for c in reversed(cs):
+        acc = acc * r + c
+        out.append(acc)
+    rem = out.pop() if out else F(0)
+    return trim(reversed(out)), rem
+
+
+def o_shift(cs, a):
+    out = [F(0)] * len(cs)
+    for k, c in enumerate(cs):
+        for j in range(k + 1):
+            out[j] += c * math.comb(k, j) * a ** (k - j)
+    return trim(out)
+
+
+def assert_normal(p):
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int for c in p.num)
+    assert not p.num or p.num[-1] != 0
+    assert math.gcd(p.den, *p.num) == 1
+    if not p.num:
+        assert p.den == 1
+
+
+class TestIntegerKernel:
+    @given(a=coeff_lists, b=coeff_lists, s=wide_fracs)
+    @settings(max_examples=200, deadline=None)
+    def test_ring_operations_match_fraction_oracle(self, a, b, s):
+        pa, pb = Poly(tuple(a)), Poly(tuple(b))
+        cases = [
+            (pa, trim(a)),
+            (pa * pb, o_mul(a, b)),
+            (pa + pb, o_add(a, b)),
+            (pa - pb, o_add(a, [-c for c in b])),
+            (-pa, trim(-c for c in a)),
+            (pa.scale(s), trim(s * c for c in a)),
+            (pa.derivative(), trim(i * c for i, c in enumerate(a) if i)),
+        ]
+        for got, want in cases:
+            assert_normal(got)
+            assert got.coeffs == want
+
+    @given(a=coeff_lists, r=roots)
+    @settings(max_examples=200, deadline=None)
+    def test_synth_div_eval_and_shift_match_fraction_oracle(self, a, r):
+        pa = Poly(tuple(a))
+        q, rem = pa.synth_div(r)
+        assert_normal(q)
+        assert (q.coeffs, rem) == o_horner(trim(a), r)
+        assert q * Poly.x_minus(r) + Poly.const(rem) == pa
+        assert pa.eval(r) == rem and pa.is_root(r) == (rem == 0)
+        shifted = pa.shift(r)
+        assert_normal(shifted)
+        assert shifted.coeffs == o_shift(trim(a), r)
+        assert pa.shift(0) is pa
+
+    def test_synth_div_with_fractional_root_of_high_degree(self):
+        r = F(-7, 9)
+        p = Poly.x_minus(r) ** 6 * Poly.of(F(1, 2), 3, F(-5, 4))
+        q, rem = p.synth_div(r)
+        assert rem == 0 and q == Poly.x_minus(r) ** 5 * Poly.of(F(1, 2), 3, F(-5, 4))
+        assert p.synth_div(2)[1] == p.eval(2) != 0
+
+    def test_edge_cases(self):
+        zero = Poly(())
+        assert_normal(zero)
+        assert zero.synth_div(F(1, 3)) == (zero, 0)
+        assert Poly.of(F(5, 6)).synth_div(2) == (zero, F(5, 6))
+        assert Poly.of(3, 4).scale(0) == zero and Poly.of(3).derivative() == zero
+        assert Poly.of(7).shift(F(1, 2)) == Poly.of(7) and zero.eval(F(2, 3)) == 0
+
+    @given(a=coeff_lists, b=coeff_lists)
+    @settings(max_examples=100, deadline=None)
+    def test_equal_coeffs_imply_equal_and_hash(self, a, b):
+        pa, pb = Poly(tuple(a)), Poly(tuple(b))
+        for x, y in [(pa, Poly(tuple(a) + (0, 0))), ((pa + pb) - pb, pa), (pa * pb, pb * pa)]:
+            assert x.coeffs == y.coeffs
+            assert x == y and hash(x) == hash(y)
+        assert (pa == pb) == (pa.coeffs == pb.coeffs)
+
+    def test_normal_form_examples(self):
+        half = Poly.of(F(1, 2))
+        assert Poly.of(F(2, 4)) == half and hash(Poly.of(F(2, 4))) == hash(half)
+        assert (half.num, half.den) == ((1,), 2)
+        p = Poly((F(1, 2), F(1, 3), 0, 0))
+        assert (p.num, p.den) == ((3, 2), 6) and p.degree() == 1
+        assert Poly.of(4, 6, 0) == Poly((F(4), F(6))) and Poly.of(4, 6).den == 1
+        assert (Poly.of(0, 0).num, Poly.of(0, 0).den) == ((), 1)
+        assert Poly.of(F(3, 4)) * Poly.of(F(2, 3)) == half
+        assert Poly.of(F(1, 6), F(1, 6)) + Poly.of(F(1, 3), F(-1, 6)) == half
+
+    def test_public_surface(self):
+        p = Poly.of(F(-1, 2), 0, 3)
+        assert p.coeffs == (F(-1, 2), F(0), F(3)) and all(type(c) is F for c in p.coeffs)
+        assert p[0] == F(-1, 2) and p[2] == 3 and p[5] == 0 and p[-1] == 0
+        assert repr(p) == "Poly(-1/2*x^0 + 3*x^2)" and repr(Poly(())) == "Poly(0)"
+        assert Poly.x_minus(F(2, 3)) == Poly.of(F(-2, 3), 1) and Poly.const(5) == Poly.of(5)
+        assert p != p.coeffs and Poly.of(1) != 1
+
+    def test_immutability_pickle_and_deepcopy(self):
+        p = Poly.of(F(1, 2), F(-3, 4), 5)
+        with pytest.raises(AttributeError):
+            p.num = (1,)
+        with pytest.raises(AttributeError):
+            p.den = 3
+        with pytest.raises(AttributeError):
+            p.coeffs = ()
+        with pytest.raises(AttributeError):
+            p.extra = 1
+        with pytest.raises(AttributeError):
+            del p.den
+        for q in (p, Poly(())):
+            for r in (pickle.loads(pickle.dumps(q)), copy.deepcopy(q), copy.copy(q)):
+                assert r == q and hash(r) == hash(q) and (r.num, r.den) == (q.num, q.den)
 
 
 class TestRationalFunction:

@@ -1,9 +1,13 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import padicops
 from padicops.cheeses import Cheese
 from padicops.padics import vp_rational
 from padicops.ratfun import MobiusMap, Poly, RationalFunction
@@ -51,6 +55,46 @@ small_polys = st.lists(
 operators = st.dictionaries(
     st.integers(min_value=-6, max_value=6), small_polys, min_size=1, max_size=4
 ).map(S.of)
+
+
+def rand_rf_op(r, lo):
+    """A Laurent window from degree lo with pole-carrying coefficients and
+    random exactness flags."""
+    coeffs = {}
+    for k in range(lo, lo + r.randint(1, 5)):
+        if r.random() < 0.8:
+            num = Poly(tuple(F(r.randint(-5, 5), r.randint(1, 4)) for _ in range(r.randint(1, 3))))
+            poles = {F(r.randint(-3, 3), r.choice([1, 2, 3])): r.randint(1, 2) for _ in range(r.randint(0, 2))}
+            coeffs[k] = RF(num, poles)
+    return S(coeffs or {lo: RF.const(1)}, r.random() < 0.8, r.random() < 0.8)
+
+
+def reference_star(u, v, lo=None):
+    """The star product as first written: every (i, j) pair differentiates
+    v_j afresh."""
+    if u.is_zero() or v.is_zero():
+        return S.zero()
+    if lo is None:
+        lo = v.lo() if u.lo() >= 0 else u.lo() + v.lo() - 40
+    out = {}
+    clipped = False
+    for i, ui in u.coeffs.items():
+        for j, vj in v.coeffs.items():
+            m, d = 0, vj
+            while True:
+                if (i >= 0 and m > i) or d.is_zero():
+                    break
+                k = i + j - m
+                if k < lo:
+                    clipped = True
+                    break
+                b = zbinom(i, m)
+                if b:
+                    term = (ui * d).scale(b)
+                    out[k] = out[k] + term if k in out else term
+                m += 1
+                d = d.derivative()
+    return S(out, u.lo_exact and v.lo_exact and not clipped, u.hi_exact and v.hi_exact)
 
 
 class TestStarProduct:
@@ -116,6 +160,22 @@ class TestStarProduct:
         for _ in range(100):
             u, v = rand_op(4, 3), rand_op(4, 3)
             assert star(u, v) == naive(u, v)
+
+    def test_matches_per_pair_reference_on_laurent_windows(self):
+        r = random.Random(7)
+        for _ in range(120):
+            u = rand_rf_op(r, r.randint(-6, 2))
+            v = rand_rf_op(r, r.randint(-6, 2))
+            lo = r.randint(-16, 2)
+            got, want = star(u, v, lo), reference_star(u, v, lo)
+            assert got.coeffs == want.coeffs
+            assert (got.lo_exact, got.hi_exact) == (want.lo_exact, want.hi_exact)
+
+    @given(u=operators, v=operators, lo=st.none() | st.integers(min_value=-14, max_value=4))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_pair_reference_property(self, u, v, lo):
+        got, want = star(u, v, lo), reference_star(u, v, lo)
+        assert got.coeffs == want.coeffs and got.lo_exact == want.lo_exact
 
     def test_ring_action_on_functions(self):
         for _ in range(100):
@@ -303,3 +363,16 @@ class TestLevelM:
             u = rand_op()
             for m in (1, 2, 3):
                 assert from_level_m(to_level_m(u, m, 3)) == u
+
+    def test_binomb_check_survives_optimize_flag(self):
+        # binomb's divisibility check must be a raise, not an assert that -O
+        # strips: force a non-dividing triple through a patched qfloor
+        src = os.path.dirname(os.path.dirname(padicops.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = (
+            "from padicops import skew\n"
+            "skew.qfloor = lambda k, m, p: 1 if k == 4 else 2\n"
+            "print(skew.binomb(4, 2, 1, 3))\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode != 0 and "ValueError" in proc.stderr, proc.stdout + proc.stderr
