@@ -8,8 +8,9 @@ N, n, M, s, v_sum, v_dominant, bound.  Every valuation is an exact rational.
 import argparse
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from padicops import carries  # noqa: E402
 from padicops.cli import fmt_val  # noqa: E402
@@ -28,19 +29,20 @@ def main() -> int:
     args = ap.parse_args()
 
     for p, f, k, d, levels in FAMILIES:
-        q = p**f
-        k_norm = k * (q + 1) // d
+        fam = carries.Family(p, p**f, k, d)
         lines = ["N,n,M,s,v_sum,v_dominant,bound,seconds"]
         for N in levels:
             t0 = time.monotonic()
-            idx = carries.special_index(p, f, k_norm, N)
+            idx = fam.index(N)
             rep = carries.sum_estimate(idx, args.prec)
             dt = time.monotonic() - t0
             lines.append(
                 f"{N},{idx.n},{idx.M},{idx.s},{fmt_val(rep.v_sum)},"
                 f"{fmt_val(rep.v_dominant)},{fmt_val(rep.bound)},{dt:.2f}"
             )
-            assert rep.ok, f"blow-up check failed at {(p, f, k, d, N)}"
+            if not rep.ok:
+                print(f"blow-up check failed at {(p, f, k, d, N)}", file=sys.stderr)
+                return 1
         text = "\n".join(lines) + "\n"
         header = f"# family p={p} f={f} k={k} d={d}\n"
         if args.out_prefix:

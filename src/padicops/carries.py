@@ -18,7 +18,6 @@ from .padics import (
     Rational,
     is_p_integral,
     vp_int,
-    vp_rational,
 )
 
 
@@ -190,6 +189,51 @@ def special_index(p: int, f: int, k: int, N: int) -> SpecialIndex:
     if M != got:
         raise AssertionError(f"M={M} disagrees with the case table value {got}")
     return SpecialIndex(p, f, q, k, q + 1, N, n, M, s)
+
+
+@dataclass(frozen=True)
+class Family:
+    """The twist parameters (p, q, k, d), checked and normalised in one place.
+
+    q = p^f, d divides q + 1 and is coprime to p, and 1 <= k < d (k = d is
+    the excluded trivial twist).  Normalised to d = q + 1 the family has
+    k_norm = k(q+1)/d in 1..q, and lam = k/d = k_norm/(q+1).
+    """
+
+    p: int
+    q: int
+    k: int
+    d: int
+
+    def __post_init__(self) -> None:
+        p, q, k, d = self.p, self.q, self.k, self.d
+        if d % p == 0:
+            raise ValueError(f"d = {d} must be coprime to p = {p}")
+        if (q + 1) % d != 0:
+            raise ValueError(f"d = {d} must divide q + 1 = {q + 1}")
+        if not 1 <= k < d:
+            raise ValueError(f"k = {k} out of range 1..{d - 1} (k = d is the excluded trivial twist)")
+
+    @property
+    def f(self) -> int:
+        f = 1
+        while self.p**f < self.q:
+            f += 1
+        if self.p**f != self.q:
+            raise ValueError(f"q = {self.q} is not a power of p = {self.p}")
+        return f
+
+    @property
+    def k_norm(self) -> int:
+        k, q, d = self.k, self.q, self.d
+        return k * (q + 1) // d
+
+    @property
+    def lam(self) -> Fraction:
+        return Fraction(self.k, self.d)
+
+    def index(self, N: int) -> SpecialIndex:
+        return special_index(self.p, self.f, self.k_norm, N)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .cheeses import gauss_valuation
 from .padics import varpi_valuation, vp_factorial, vp_rational
 from .ratfun import MobiusMap, RationalFunction, dlog
-from .skew import SkewLaurentSeries, star
+from .skew import SkewLaurentSeries, apply_to_function, star
 
 RF = RationalFunction
 
@@ -221,38 +221,24 @@ def beta_tail_valuation(g: MobiusMap, depth: int, p: int) -> Fraction:
     return min((n * vw - vp_factorial(n, p)) for n in range(depth + 1, depth + 40))
 
 
-@dataclass(frozen=True)
-class SigmaRhoReport:
-    monomials_checked: int
-    substitution_exact: bool
-    homomorphism_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.substitution_exact and self.homomorphism_ok
+def beta_substitution_exact(g: MobiusMap, m_max: int, p: int) -> bool:
+    """beta(g) truncated at order m_max sends x^m to (g.x)^m exactly, m <= m_max."""
+    b = beta_build(g, m_max, p)
+    x, gx = RF.x(), g.act_x()
+    return all(apply_to_function(b, x**m) == gx**m for m in range(m_max + 1))
 
 
-def sigma_rho_check(g: MobiusMap, m_max: int, depth: int, p: int, partner: MobiusMap | None = None) -> SigmaRhoReport:
-    """The truncated substitution operator applied to x^m must reproduce
-    (g.x)^m exactly for m <= depth, and beta(g h) must match beta(g)*beta(h)
-    within the tail budget.
-    """
-    from .skew import apply_to_function as _apply
-    from .skew import star as _star
-
-    x = RF.x()
-    b = beta_build(g, max(m_max, depth), p)
-    subst_ok = all(_apply(b, x**m) == g.act_x() ** m for m in range(m_max + 1))
-    h = partner if partner is not None else g
+def beta_homomorphism_ok(g: MobiusMap, h: MobiusMap, depth: int, p: int) -> bool:
+    """beta(g) * beta(h) matches beta(gh) through order depth, within the tail
+    budget of the two truncated factors."""
     tau = min(beta_tail_valuation(g, depth, p), beta_tail_valuation(h, depth, p))
-    prod = _star(beta_build(g, depth, p), beta_build(h, depth, p))
+    prod = star(beta_build(g, depth, p), beta_build(h, depth, p))
     bgh = beta_build(g * h, depth, p)
-    hom_ok = True
     for k in range(depth + 1):
         diff = prod[k] - bgh[k]
         if not diff.is_zero() and gauss_valuation(diff, p) < tau:
-            hom_ok = False
-    return SigmaRhoReport(m_max + 1, subst_ok, hom_ok)
+            return False
+    return True
 
 
 def cocycle(u: RF, d: int, g: MobiusMap, depth: int, p: int) -> RF:
@@ -273,3 +259,26 @@ def cocycle_from_tw(tw: TwistData, g: MobiusMap, depth: int) -> RF:
         out = out + wm * tw.h[m]
         wm = wm * w
     return out
+
+
+def cocycle_identities(u: RF, v: RF, d: int, g: MobiusMap, depth: int, p: int) -> tuple[bool, bool, bool]:
+    """The three cocycle identities at one sample, each to its precision:
+
+    - c_u(g)^d = u/(g.u), within the tail budget (depth + 1) v(g.x - x);
+    - c_(uv)(g) = c_u(g) c_v(g), within the same budget;
+    - theta_u(beta(g)) has D^alpha coefficient beta(g)[alpha] c_u(g), with
+      c_u(g) cut at order depth - alpha, exactly.
+    """
+    w = displacement(g)
+    vw = gauss_valuation(w, p) if not w.is_zero() else Fraction(10**9)
+    tau = (depth + 1) * vw
+    tw = h_sequence(u, d, depth, p)
+    cu = cocycle_from_tw(tw, g, depth)
+    diff = cu**d - u / g.act_function(u)
+    power_ok = diff.is_zero() or gauss_valuation(diff, p) >= tau
+    diff = cocycle(u * v, d, g, depth, p) - cu * cocycle(v, d, g, depth, p)
+    mult_ok = diff.is_zero() or gauss_valuation(diff, p) >= tau
+    bg = beta_build(g, depth, p)
+    lhs = theta_apply(tw, bg)
+    twist_ok = all(lhs[a] == bg[a] * cocycle_from_tw(tw, g, depth - a) for a in range(depth + 1))
+    return power_ok, mult_ok, twist_ok

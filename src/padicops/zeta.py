@@ -16,22 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .carries import SpecialIndex, special_index, sum_estimate, SumReport
+from .carries import Family, SpecialIndex, sum_estimate, SumReport
 from .padics import PadicNumber, Rational, vp_rational
 from .series import PSeries, QSeries, binomial_series, p_binomial_series
 
 F = Fraction
-
-
-def _check_params(p: int, q: int, k: int, d: int) -> None:
-    if (q + 1) % d != 0:
-        raise ValueError(f"d = {d} must divide q + 1 = {q + 1}")
-    if d % p == 0:
-        raise ValueError("d must be coprime to p")
-    if not 1 <= k <= d:
-        raise ValueError(f"k = {k} out of range 1..{d}")
-    if k == d:
-        raise ValueError("k = d is the excluded trivial twist")
 
 
 def unit_ratio(p: int, q: int, order: int) -> tuple[QSeries, list[Fraction]]:
@@ -63,9 +52,9 @@ def build_cocycle_c(p: int, q: int, k: int, d: int, order: int) -> QSeries:
     Built as ratio^(k/d) by the binomial series; the d-th power is re-checked
     against the exact rational-function ratio.
     """
-    _check_params(p, q, k, d)
+    lam = Family(p, q, k, d).lam
     ratio, _ = unit_ratio(p, q, order)
-    c = ratio.pow_fractional(F(k, d))
+    c = ratio.pow_fractional(lam)
     assert (c**d - ratio**k).is_zero(), "c^d does not recover the unit ratio"
     assert c[0] == 1
     return c
@@ -105,8 +94,7 @@ def zeta_series(p: int, q: int, k: int, d: int, order: int) -> QSeries:
         z = p (1-y^(q-1))^(-k/d) sum_r binom(k/d, r)(-1)^r y^((q-1)r) B_r,
         B_r = ((1-y)^(mu_r) - 1)/(mu_r y),   mu_r = 1 + qk/d - (q-1) r.
     """
-    _check_params(p, q, k, d)
-    lam = F(k, d)
+    lam = Family(p, q, k, d).lam
     S = QSeries.zero(order)
     bk = F(1)  # binom(k/d, r)
     r = 0
@@ -142,9 +130,12 @@ def zeta_by_recurrence(p: int, q: int, k: int, d: int, order: int) -> QSeries:
     y (y d/dy - qk/d)(g) = -p (1-y^(q-1))^(k/d) (c - 1), so
     g_n = -p [eps (c-1)]_(n+1) / (n - qk/d), never dividing by zero.
     """
-    _check_params(p, q, k, d)
-    lam = F(k, d)
-    c = build_cocycle_c(p, q, k, d, order + 1)
+    c = build_cocycle_c(p, q, k, d, order + 1)  # rejects parameters outside the family
+    return _solve_recurrence(p, q, F(k, d), c, order)
+
+
+def _solve_recurrence(p: int, q: int, lam: Fraction, c: QSeries, order: int) -> QSeries:
+    """The term-by-term solution from c, which must be known to order + 1."""
     eps = binomial_series(lam, order + 1, q - 1)
     rhs = (eps * (c - QSeries.one(order + 1))).scale(-p)
     g = []
@@ -161,17 +152,18 @@ class OdeReport:
     residual_is_zero: bool
     recurrence_matches: bool
     max_nonzero_index: int | None
+    solution: QSeries  # the closed form z through y^(order-1)
 
 
 def ode_residual(p: int, q: int, k: int, d: int, order: int) -> OdeReport:
     """nabla(z) - (c - 1) must vanish identically on all retained coefficients,
     and the closed form must agree with the term-by-term solution."""
     z = zeta_series(p, q, k, d, order)
-    c = build_cocycle_c(p, q, k, d, order)
-    resid = nabla_apply(z, p, q, k, d) - (c - QSeries.one(order))
+    c = build_cocycle_c(p, q, k, d, order + 1)
+    resid = nabla_apply(z, p, q, k, d) - (c.truncate(order) - QSeries.one(order))
     bad = [j for j in range(order) if resid[j] != 0]
-    z2 = zeta_by_recurrence(p, q, k, d, order)
-    return OdeReport(order, not bad, (z - z2).is_zero(), max(bad) if bad else None)
+    z2 = _solve_recurrence(p, q, F(k, d), c, order)
+    return OdeReport(order, not bad, (z - z2).is_zero(), max(bad) if bad else None, z)
 
 
 def eta_apply(f: QSeries) -> QSeries:
@@ -217,7 +209,7 @@ def h_sequence_y(p: int, q: int, k: int, d: int, depth: int, order: int) -> list
     h[1] = -(1/d) D(w)/w = (1/(pd)) [qk y + k(q-1) y^q/(1-y^(q-1))];
     each h[n] is a power series of order >= n.
     """
-    _check_params(p, q, k, d)
+    Family(p, q, k, d)  # rejects parameters outside the family
     geom = binomial_series(-1, order, q - 1)
     h1 = (QSeries.of([0, q * k], order) + geom.shift(q).scale(k * (q - 1))).scale(F(1, p * d))
     hs = [QSeries.one(order), h1]
@@ -262,8 +254,7 @@ def xvzero_series(p: int, q: int, k: int, d: int, order: int) -> XvZeroReport:
 def phi_series_coefficient(p: int, q: int, k: int, d: int, n_target: int, prec: int) -> PadicNumber:
     """Coefficient of s^n_target in (1/p)(1-s)^(k/d) Phi(zeta), s = y^(q-1),
     via capped-precision series assembly (Phi projects onto powers of s)."""
-    _check_params(p, q, k, d)
-    lam = F(k, d)
+    lam = Family(p, q, k, d).lam
     ln, ld = lam.numerator, lam.denominator
     order = (q - 1) * n_target + 1
     S = PSeries.zero(p, prec, order)
@@ -313,22 +304,18 @@ def phi_valuation_profile(
     The series route computes the coefficient of s^n in (1/p)(1-s)^(k/d)
     Phi(zeta), which equals (-1)^(n+1) times the carry-route sum.
     """
-    q = p**f
-    if (q + 1) % d != 0 or k * (q + 1) % d != 0:
-        raise ValueError("d must divide q + 1")
-    k_norm = k * (q + 1) // d
-    if not 1 <= k_norm <= q:
-        raise ValueError(f"normalised k = {k_norm} out of range 1..{q} (k = d excluded)")
+    fam = Family(p, p**f, k, d)
+    q = fam.q
     rows = []
     for N in n_list:
-        idx = special_index(p, f, k_norm, N)
+        idx = fam.index(N)
         rep = sum_estimate(idx, prec)
         series_value = None
         digits = None
         crossed = False
         if (q - 1) * idx.n <= SERIES_ROUTE_CAP:
             sp = series_prec or 2 * prec
-            coeff = phi_series_coefficient(p, q, k_norm, q + 1, idx.n, sp)
+            coeff = phi_series_coefficient(p, q, fam.k_norm, q + 1, idx.n, sp)
             # the signed carry sum is -[s^n] (1/p)(1-s)^(k/d) Phi(zeta)
             diff = coeff + rep.total
             vd = diff.absprec if diff.is_zero() else diff.val

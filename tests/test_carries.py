@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from padicops.carries import (
+    Family,
     argmin_term_valuation,
     carry_profile,
     denom_valuation,
@@ -97,6 +98,38 @@ class TestKummer:
                 expect_inf = lam < 0 and n >= -lam
                 assert (prof.L == INF) == expect_inf, (lam, n)
                 assert (vp_binom_kummer(lam, n, 3) == INF) == expect_inf
+
+
+class TestFamily:
+    @pytest.mark.parametrize("p, f, k, d, k_norm", [(3, 1, 1, 4, 1), (2, 1, 1, 3, 1), (3, 1, 3, 4, 3)])
+    def test_release_families(self, p, f, k, d, k_norm):
+        fam = Family(p, p**f, k, d)
+        assert (fam.f, fam.k_norm) == (f, k_norm)
+        assert fam.lam == F(k, d) == F(k_norm, p**f + 1)
+
+    def test_normalises_a_proper_divisor(self):
+        fam = Family(5, 5, 1, 2)
+        assert fam.k_norm == 3 and fam.lam == F(1, 2)
+        assert Family(2, 4, 1, 5).f == 2
+
+    def test_index_is_the_special_index_of_k_norm(self):
+        assert Family(3, 3, 3, 4).index(7) == special_index(3, 1, 3, 7)
+        assert Family(5, 5, 1, 2).index(6) == special_index(5, 1, 3, 6)
+
+    @pytest.mark.parametrize("p, q, k, d, match", [
+        (3, 3, 1, 5, "divide"),
+        (3, 9, 1, 3, "coprime"),
+        (3, 3, 0, 4, "out of range"),
+        (3, 3, 5, 4, "out of range"),
+        (3, 3, 4, 4, "trivial twist"),
+    ])
+    def test_rejected(self, p, q, k, d, match):
+        with pytest.raises(ValueError, match=match):
+            Family(p, q, k, d)
+
+    def test_q_must_be_a_power_of_p(self):
+        with pytest.raises(ValueError, match="power"):
+            Family(3, 5, 1, 2).f
 
 
 class TestSpecialIndex:

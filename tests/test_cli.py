@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from padicops.cli import (
+    COMMANDS,
     EXIT_MATH,
     EXIT_OK,
     EXIT_USAGE,
@@ -165,7 +166,7 @@ class TestPrimality:
 REPO = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("command", ["beta-check", "cocycle-check"])
+@pytest.mark.parametrize("command", list(COMMANDS))
 def test_default_output_matches_golden_bytes(command):
     proc = subprocess.run(
         [sys.executable, "-m", "padicops", command, "--config", str(REPO / "default.toml")],
@@ -173,6 +174,26 @@ def test_default_output_matches_golden_bytes(command):
     )
     assert proc.returncode == EXIT_OK, proc.stderr.decode()
     assert proc.stdout == (REPO / "tests" / "golden" / f"{command}.json").read_bytes()
+
+
+# inputs outside the family (p, f, k, d) = (3, 1, k, d) at level N = 6
+REJECTED_FAMILIES = {
+    "d_not_dividing_q_plus_1": ["--d", "5"],
+    "p_dividing_d": ["--d", "3"],
+    "k_zero": ["--k", "0"],
+    "k_above_d": ["--k", "5"],
+    "k_equal_to_d": ["--k", "4"],
+    "wrong_parity": ["--N", "7"],
+}
+
+
+@pytest.mark.parametrize("command", ["sum-estimate", "qexp-check", "zeta-valuations", "ode-check"])
+@pytest.mark.parametrize("extra", REJECTED_FAMILIES.values(), ids=REJECTED_FAMILIES)
+def test_rejected_family_exits_2(command, extra, capsys):
+    argv = [command, "--p", "3", "--f", "1", "--k", "1", "--d", "4", "--N", "6", *extra]
+    assert main(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and "error" in err
 
 
 class TestEndToEnd:

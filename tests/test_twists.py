@@ -7,12 +7,16 @@ import pytest
 from padicops.cheeses import gauss_valuation
 from padicops.padics import vp_factorial
 from padicops.ratfun import MobiusMap, Poly, RationalFunction, dlog, relator
+from padicops import twists
 from padicops.skew import SkewLaurentSeries, apply_to_function, star
 from padicops.twists import (
     beta_build,
+    beta_homomorphism_ok,
+    beta_substitution_exact,
     beta_tail_valuation,
     cocycle,
     cocycle_from_tw,
+    cocycle_identities,
     displacement,
     h_closed_form_monomial,
     h_sequence,
@@ -182,6 +186,19 @@ class TestMicroInverse:
         assert r1.ok and r2.ok
 
 
+def drop_top_term(g, depth, p, r_exp=None):
+    """beta_build with its highest retained term missing."""
+    b = beta_build(g, depth, p, r_exp)
+    return S({k: c for k, c in b.coeffs.items() if k != depth}, hi_exact=False, tail=b.tail)
+
+
+HOM_PAIRS = [
+    (MobiusMap.translation(5), MobiusMap.translation(10)),
+    (MobiusMap.of(6, 5, 25, 1), MobiusMap.translation(5)),
+    (MobiusMap.of(1, 5, 50, 6), MobiusMap.of(6, 0, 25, 1)),
+]
+
+
 class TestBeta:
     def test_translation_coefficients(self):
         b = beta_build(MobiusMap.translation(5), 6, 5)
@@ -194,6 +211,17 @@ class TestBeta:
         for m in range(31):
             assert apply_to_function(b, x**m) == (x + RF.const(5)) ** m
 
+    def test_substitution_check(self, monkeypatch):
+        assert beta_substitution_exact(MobiusMap.translation(5), 30, 5)
+        assert beta_substitution_exact(MobiusMap.of(6, 5, 25, 1), 6, 5)
+        monkeypatch.setattr(twists, "beta_build", drop_top_term)
+        assert not beta_substitution_exact(MobiusMap.translation(5), 6, 5)
+
+    def test_homomorphism_check(self, monkeypatch):
+        assert all(beta_homomorphism_ok(g, h, 8, 5) for g, h in HOM_PAIRS)
+        monkeypatch.setattr(twists, "beta_build", drop_top_term)
+        assert not any(beta_homomorphism_ok(g, h, 8, 5) for g, h in HOM_PAIRS)
+
     def test_group_membership(self):
         assert in_group_of_radius(MobiusMap.translation(5), 5, F(-1, 4))
         assert not in_group_of_radius(MobiusMap.translation(1), 5, F(-1, 4))
@@ -204,12 +232,7 @@ class TestBeta:
 
     def test_homomorphism_within_tail_bounds(self):
         p, depth = 5, 8
-        pairs = [
-            (MobiusMap.translation(5), MobiusMap.translation(10)),
-            (MobiusMap.of(6, 5, 25, 1), MobiusMap.translation(5)),
-            (MobiusMap.of(1, 5, 50, 6), MobiusMap.of(6, 0, 25, 1)),
-        ]
-        for g, h in pairs:
+        for g, h in HOM_PAIRS:
             tau = min(beta_tail_valuation(g, depth, p), beta_tail_valuation(h, depth, p))
             prod = star(beta_build(g, depth, p), beta_build(h, depth, p))
             bgh = beta_build(g * h, depth, p)
@@ -269,3 +292,22 @@ class TestCocycle:
         lhs = theta_apply(tw, bg)
         for alpha in range(depth + 1):
             assert lhs[alpha] == bg[alpha] * cocycle_from_tw(tw, g, depth - alpha)
+
+    def test_identities_check(self):
+        g = MobiusMap.of(6, 5, 25, 1)
+        assert cocycle_identities(x, RF.from_factors(1, {5: 2}), 3, g, 9, 5) == (True, True, True)
+        assert cocycle_identities(x, x**2, 2, MobiusMap.translation(25), 10, 5) == (True, True, True)
+
+    def test_identities_check_fails_without_the_linear_term(self, monkeypatch):
+        def drop_linear(tw, g, depth):
+            return cocycle_from_tw(tw, g, depth) - displacement(g) * tw.h[1]
+
+        monkeypatch.setattr(twists, "cocycle_from_tw", drop_linear)
+        g = MobiusMap.of(6, 5, 25, 1)
+        assert cocycle_identities(x, RF.from_factors(1, {5: 2}), 3, g, 9, 5) == (False, False, False)
+
+    def test_identities_check_fails_on_a_truncated_substitution(self, monkeypatch):
+        # only the third identity involves beta(g)
+        monkeypatch.setattr(twists, "beta_build", drop_top_term)
+        g = MobiusMap.of(6, 5, 25, 1)
+        assert cocycle_identities(x, RF.from_factors(1, {5: 2}), 3, g, 9, 5) == (True, True, False)
