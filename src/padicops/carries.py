@@ -402,6 +402,10 @@ def _check_scale(idx: SpecialIndex) -> None:
         )
 
 
+_SUM_MEMO: dict[tuple[SpecialIndex, int], SumReport] = {}
+SUM_MEMO_SIZE = 64  # reports kept per process; the oldest is dropped first
+
+
 def sum_estimate(
     idx: SpecialIndex,
     prec: int = DEFAULT_PREC,
@@ -417,7 +421,21 @@ def sum_estimate(
     unique.  Both binomials are updated incrementally (O(n*q)
     multiplications); the sum's valuation must equal the r = s term's
     valuation, which is computed independently from carry counts.
+
+    Reports are memoised per (idx, prec) for the life of the process, so a
+    repeat call returns the same object and does not call `progress`.
     """
+    key = (idx, prec)
+    if key in _SUM_MEMO:
+        return _SUM_MEMO[key]
+    rep = _sum_estimate(idx, prec, progress)
+    if len(_SUM_MEMO) >= SUM_MEMO_SIZE:
+        del _SUM_MEMO[next(iter(_SUM_MEMO))]
+    _SUM_MEMO[key] = rep
+    return rep
+
+
+def _sum_estimate(idx: SpecialIndex, prec: int, progress) -> SumReport:
     _check_scale(idx)
     p, q, n = idx.p, idx.q, idx.n
     ln, ld = idx.lam.numerator, idx.lam.denominator

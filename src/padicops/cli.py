@@ -346,13 +346,13 @@ def cmd_zeta_valuations(cfg: RunConfig) -> Report:
     for row in profile:
         decreasing = prev is None or row.report.v_sum < prev
         prev = row.report.v_sum
-        good = row.report.ok and decreasing and (row.agreement_digits is None or row.cross_checked)
+        good = row.report.ok and decreasing and row.cross_checked
         ok &= good
         rows.append({
             "N": row.idx.N, "n": row.idx.n,
             "v_sum": fmt_val(row.report.v_sum), "bound": fmt_val(row.report.bound),
-            "series_value": fmt_padic(row.series_value) if row.series_value else "",
-            "agreement_digits": row.agreement_digits if row.agreement_digits is not None else "",
+            "series_value": fmt_padic(row.series_value),
+            "agreement_digits": row.agreement_digits,
             "ok": good,
         })
     return Report(

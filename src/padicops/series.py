@@ -188,10 +188,6 @@ class PSeries:
     def __getitem__(self, j: int) -> PadicNumber:
         return self.coeffs[j]
 
-    def add(self, other: PSeries) -> PSeries:
-        n = min(self.order, other.order)
-        return PSeries(self.p, self.prec, [self.coeffs[j] + other.coeffs[j] for j in range(n)])
-
     def mul(self, other: PSeries) -> PSeries:
         n = min(self.order, other.order)
         out = [PadicNumber.zero(self.p, 10**9) for _ in range(n)]
@@ -212,13 +208,6 @@ class PSeries:
             if not c.is_zero():
                 out[j + k] = out[j + k] + scalar * c
         return PSeries(self.p, self.prec, out)
-
-    def stride_part(self, stride: int) -> PSeries:
-        return PSeries(self.p, self.prec, [self.coeffs[j] for j in range(0, self.order, stride)])
-
-
-# the capped-precision series is the package's p-adic power series type
-PadicPowerSeries = PSeries
 
 
 def p_binomial_series(

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .carries import Family, SpecialIndex, sum_estimate, SumReport
-from .padics import PadicNumber, Rational, vp_rational
-from .series import PSeries, QSeries, binomial_series, p_binomial_series
+from .padics import PadicNumber, Rational, padic_binom, vp_int, vp_rational
+from .series import QSeries, binomial_series
 
 F = Fraction
 
@@ -36,7 +36,8 @@ def unit_ratio(p: int, q: int, order: int) -> tuple[QSeries, list[Fraction]]:
     ratio = ratio.truncate(order)
     # f = (N - D)/(p y^2), which must land in Z[y]
     diff = N - D
-    assert diff[0] == 0 and diff[1] == 0, "ratio is not 1 mod y^2"
+    if diff[0] != 0 or diff[1] != 0:
+        raise AssertionError("ratio is not 1 mod y^2")
     fpoly = []
     for j in range(2, q + 2):
         c = diff[j] / p
@@ -253,56 +254,70 @@ def xvzero_series(p: int, q: int, k: int, d: int, order: int) -> XvZeroReport:
 
 def phi_series_coefficient(p: int, q: int, k: int, d: int, n_target: int, prec: int) -> PadicNumber:
     """Coefficient of s^n_target in (1/p)(1-s)^(k/d) Phi(zeta), s = y^(q-1),
-    via capped-precision series assembly (Phi projects onto powers of s)."""
+    known mod p^prec, from the solution's own equation in O(n + prec^2) steps.
+
+    With lam = k/d, J = (q-1)n + 1 and D = (q-1)n - q lam, the recurrence
+    for g = (1-s)^lam zeta gives the coefficient as -[y^J] (1-s)^lam (c-1) / D,
+    and c - 1 = sum_m binom(lam, m) p^m y^m f^m (1-s)^(-m) with f in Z[y]
+    from `unit_ratio`.  The m-th term has valuation >= m, so stopping at
+    m <= P = prec + v_p(D) is exact mod p^(P+1).  One O(n) padic_binom gives
+    binom(lam, n); every binom(lam - m, i) after it is one exact step away.
+    """
     lam = Family(p, q, k, d).lam
     ln, ld = lam.numerator, lam.denominator
-    order = (q - 1) * n_target + 1
-    S = PSeries.zero(p, prec, order)
-    bk = PadicNumber.from_rational(1, p, prec)
-    for r in range(n_target + 1):
-        mun = ld + q * ln - (q - 1) * r * ld  # mu = 1 + q lam - (q-1) r = mun/ld
-        blen = order - (q - 1) * r
-        b = PadicNumber.from_rational(1, p, prec)
-        coeffs = []
-        for n in range(blen):
-            coeffs.append(b.mul_rational(-1 if n % 2 == 0 else 1, n + 1, prec))
-            b = b.mul_rational(mun - (1 + n) * ld, ld * (n + 1), prec)  # (mu - 1 - n)/(n + 1)
-        Br = PSeries(p, prec, coeffs)
-        S = S.add_shifted(Br, (q - 1) * r, bk if r % 2 == 0 else -bk)
-        bk = bk.mul_rational(ln - r * ld, ld * (r + 1), prec)  # (lam - r)/(r + 1)
-    zeta = S.mul(p_binomial_series(-lam, p, prec, order, q - 1))
-    phi = zeta.stride_part(q - 1)
-    final = phi.mul(p_binomial_series(lam, p, prec, n_target + 1, 1))
-    return final[n_target]
+    n, c = n_target, q - 1
+    J = c * n + 1
+    dnum = c * n * ld - q * ln  # D = dnum/ld, never 0 since lam is not an integer
+    P = prec + vp_int(dnum, p)
+    R = P + 1  # every binomial is p-integral, so relprec R means absprec >= R
+    mod = p**R
+    fpoly = [int(a) for a in unit_ratio(p, q, 1)[1]]
+    fm = [1]  # f^m mod p^R
+    bm = PadicNumber.from_rational(1, p, R)  # binom(lam, m)
+    top = padic_binom(lam, n, p, R)  # binom(lam - m, n)
+    S = PadicNumber.zero(p, R)
+    for m in range(1, min(P, J) + 1):
+        prod = [0] * (len(fm) + c)
+        for j, a in enumerate(fm):
+            for t, g in enumerate(fpoly):
+                prod[j + t] += a * g
+        fm = [a % mod for a in prod]
+        bm = bm.mul_rational(ln - (m - 1) * ld, ld * m, R)
+        top = top.mul_rational(ln + (1 - m - n) * ld, ln + (1 - m) * ld, R)  # across in m
+        # [y^(J-m)] f^m (1-s)^(lam-m): l = J - m - c i must lie in 0..deg f^m
+        i_hi = (J - m) // c
+        i_lo = max(0, -((m * q - J) // c))
+        inner = PadicNumber.zero(p, R)
+        b = top
+        for i in range(n, i_lo - 1, -1):
+            if i <= i_hi:
+                a = fm[J - m - c * i]
+                if a:
+                    inner = inner + b.mul_rational(-a if i % 2 else a, 1, R)
+            if i > i_lo:
+                b = b.mul_rational(i * ld, ln - (m + i - 1) * ld, R)  # down in i
+        S = S + (bm * inner).mul_rational(p**m, 1, R)
+    return S.mul_rational(-ld, dnum, R)
 
 
 @dataclass(frozen=True)
 class ProfileRow:
     idx: SpecialIndex
     report: SumReport
-    series_value: PadicNumber | None
-    agreement_digits: int | None
+    series_value: PadicNumber
+    agreement_digits: int
     cross_checked: bool
 
 
-SERIES_ROUTE_CAP = 1200  # largest (q-1) n_N for which the series route runs
-
-
 def phi_valuation_profile(
-    p: int,
-    f: int,
-    k: int,
-    d: int,
-    n_list: list[int],
-    prec: int = 60,
-    series_prec: int | None = None,
+    p: int, f: int, k: int, d: int, n_list: list[int], prec: int = 60
 ) -> list[ProfileRow]:
     """For each N: the valuation of the coefficient sum via the carry route,
-    plus (when the degree is desk-scale) the independent series assembly of
-    the same coefficient; both values must agree to at least prec/2 digits.
+    and the independent series route for the same coefficient; the row is
+    cross-checked when both values agree to at least prec/2 digits.
 
     The series route computes the coefficient of s^n in (1/p)(1-s)^(k/d)
-    Phi(zeta), which equals (-1)^(n+1) times the carry-route sum.
+    Phi(zeta), which equals minus the carry-route sum.
     """
     fam = Family(p, p**f, k, d)
     q = fam.q
@@ -310,21 +325,9 @@ def phi_valuation_profile(
     for N in n_list:
         idx = fam.index(N)
         rep = sum_estimate(idx, prec)
-        series_value = None
-        digits = None
-        crossed = False
-        if (q - 1) * idx.n <= SERIES_ROUTE_CAP:
-            sp = series_prec or 2 * prec
-            coeff = phi_series_coefficient(p, q, fam.k_norm, q + 1, idx.n, sp)
-            # the signed carry sum is -[s^n] (1/p)(1-s)^(k/d) Phi(zeta)
-            diff = coeff + rep.total
-            vd = diff.absprec if diff.is_zero() else diff.val
-            digits = int(vd - rep.total.val)
-            crossed = digits >= prec // 2
-            if not crossed:
-                raise AssertionError(
-                    f"series and carry routes disagree at N={N}: only {digits} digits"
-                )
-            series_value = coeff
-        rows.append(ProfileRow(idx, rep, series_value, digits, crossed))
+        coeff = phi_series_coefficient(p, q, fam.k_norm, q + 1, idx.n, prec)
+        diff = coeff + rep.total
+        vd = diff.absprec if diff.is_zero() else diff.val
+        digits = int(vd - rep.total.val)
+        rows.append(ProfileRow(idx, rep, coeff, digits, digits >= prec // 2))
     return rows

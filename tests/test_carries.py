@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from padicops import carries
 from padicops.carries import (
     Family,
     argmin_term_valuation,
@@ -18,7 +19,14 @@ from padicops.carries import (
     vp_binom_kummer,
     vp_binom_lower,
 )
-from padicops.padics import INF, binom_rational, padic_binom, vp_factorial, vp_rational
+from padicops.padics import (
+    INF,
+    PrecisionExhausted,
+    binom_rational,
+    padic_binom,
+    vp_factorial,
+    vp_rational,
+)
 
 
 class TestCarryProfile:
@@ -259,3 +267,58 @@ class TestSumEstimate:
         vals = [sum_estimate(special_index(2, 1, 1, N), 40).v_sum for N in (6, 8, 10)]
         assert vals[0] > vals[1] > vals[2]
         assert all(v <= F(3 - N, 2) for v, N in zip(vals, (6, 8, 10)))
+
+
+class TestSumMemo:
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(carries, "_SUM_MEMO", {})
+
+    @staticmethod
+    def counting():
+        seen = []
+        return seen, lambda r, n: seen.append((r, n))
+
+    def test_repeat_call_returns_the_same_report_without_progress(self):
+        idx = special_index(2, 1, 1, 8)
+        seen, progress = self.counting()
+        first = sum_estimate(idx, 40, progress=progress)
+        assert seen == [(0, idx.n)]
+        again = sum_estimate(idx, 40, progress=progress)
+        assert again is first and seen == [(0, idx.n)]
+        assert sum_estimate(idx, 40) is first  # progress is not part of the key
+
+    def test_another_prec_recomputes(self):
+        idx = special_index(2, 1, 1, 8)
+        seen, progress = self.counting()
+        r40 = sum_estimate(idx, 40, progress=progress)
+        r50 = sum_estimate(idx, 50, progress=progress)
+        assert len(seen) == 2 and r50 is not r40
+        assert (r40.prec, r50.prec) == (40, 50)
+        assert r50.total.relprec == 50 and r40.total.relprec == 40
+
+    def test_raising_sum_is_not_cached(self, monkeypatch):
+        idx = special_index(2, 1, 1, 6)
+        real, calls = carries._sum_estimate, []
+
+        def vanishing_once(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise PrecisionExhausted("sum vanishes")
+            return real(*args)
+
+        monkeypatch.setattr(carries, "_sum_estimate", vanishing_once)
+        with pytest.raises(PrecisionExhausted):
+            sum_estimate(idx, 30)
+        assert carries._SUM_MEMO == {}
+        rep = sum_estimate(idx, 30)
+        assert len(calls) == 2 and rep.ok
+        assert sum_estimate(idx, 30) is rep and len(calls) == 2
+
+    def test_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(carries, "SUM_MEMO_SIZE", 2)
+        idx = special_index(2, 1, 1, 6)
+        reps = [sum_estimate(idx, prec) for prec in (20, 21, 22)]
+        assert list(carries._SUM_MEMO) == [(idx, 21), (idx, 22)]
+        assert sum_estimate(idx, 22) is reps[2]
+        assert sum_estimate(idx, 20) is not reps[0]  # the oldest was dropped

@@ -1,7 +1,14 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import padicops
+from padicops import cli, zeta
+from padicops.padics import PadicNumber
 from padicops.series import QSeries, binomial_series
 from padicops.zeta import (
     alpha_and_j,
@@ -23,6 +30,14 @@ from padicops.zeta import (
 PARAMS = (3, 3, 1, 4)  # (p, q, k, d)
 
 
+def off_in_fifth_digit(route):
+    """The series route plus p^(v+5), v the valuation of its value."""
+    def wrong(p, q, k, d, n_target, prec):
+        x = route(p, q, k, d, n_target, prec)
+        return x + PadicNumber.from_rational(F(p) ** (x.val + 5), p, prec)
+    return wrong
+
+
 class TestUnitRatio:
     def test_integer_remainder_polynomial(self):
         for p, q in [(3, 3), (2, 2), (5, 5), (3, 9)]:
@@ -33,6 +48,21 @@ class TestUnitRatio:
             recon = QSeries.one(30) + (QSeries.of(fpoly, 30) * geom).shift(1).scale(p)
             assert (recon - ratio).is_zero()
             assert all(c.denominator == 1 for c in fpoly)
+
+    def test_check_survives_optimize_flag(self):
+        # the series route relies on f in Z[y]: the "1 mod y^2" check must be
+        # a raise, not an assert that -O strips; break (1-y)^q to trip it
+        src = os.path.dirname(os.path.dirname(padicops.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = (
+            "from padicops import zeta\n"
+            "from padicops.series import QSeries\n"
+            "real = zeta.binomial_series\n"
+            "zeta.binomial_series = lambda *a: real(*a) + QSeries.one(real(*a).order)\n"
+            "print(zeta.unit_ratio(3, 3, 10))\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode != 0 and "ratio is not 1 mod y^2" in proc.stderr, proc.stdout + proc.stderr
 
 
 class TestCocycleC:
@@ -181,24 +211,54 @@ class TestXvZero:
                 assert lead >= n
 
 
+# (p, q, k, d) of the exact-rational oracle for the series route
+ROUTE_CASES = [(3, 3, 1, 4), (2, 2, 1, 3), (3, 3, 3, 4), (5, 5, 1, 6), (5, 5, 2, 3)]
+
+
 class TestProfile:
     def test_series_route_small_coefficients(self):
-        # exact agreement of the capped series route with exact rationals
-        p, q, k, d = PARAMS
-        lam = F(k, d)
-        for n in (3, 7):
-            got = phi_series_coefficient(p, q, k, d, n, 60)
-            z = zeta_series(p, q, k, d, (q - 1) * n + 1)
-            exact = (z.stride_part(q - 1) * binomial_series(lam, n + 1, 1))[n] / p
-            from padicops.padics import PadicNumber
+        # [s^n] (1/p)(1-s)^(k/d) Phi(zeta) in exact rationals, for n = 1..12
+        n_max = 12
+        for p, q, k, d in ROUTE_CASES:
+            z = zeta_series(p, q, k, d, (q - 1) * n_max + 1)
+            exact = z.stride_part(q - 1) * binomial_series(F(k, d), n_max + 1, 1)
+            for n in range(1, n_max + 1):
+                want = PadicNumber.from_rational(exact[n] / p, p, 200)
+                for prec in (20, 60):
+                    got = phi_series_coefficient(p, q, k, d, n, prec)
+                    case = (p, q, k, d, n, prec)
+                    assert got.absprec >= prec, (case, got)
+                    assert got.same_mod(want, got.absprec), (case, got, want)
 
-            want = PadicNumber.from_rational(exact, p, 80)
-            assert got.same_mod(want, got.val + 40)
+    @pytest.mark.parametrize("p, f, k, d, levels", [
+        (2, 1, 1, 3, [6, 8, 10, 12]),
+        (3, 1, 3, 4, [7, 9]),
+    ])
+    def test_every_row_cross_checked(self, p, f, k, d, levels):
+        prec = 60
+        rows = phi_valuation_profile(p, f, k, d, levels, prec)
+        assert [row.idx.N for row in rows] == levels
+        for row in rows:
+            assert row.cross_checked and row.agreement_digits >= prec, row
 
     def test_cross_validation_small_level(self):
         rows = phi_valuation_profile(2, 1, 1, 3, [6], prec=50)
         assert rows[0].cross_checked and rows[0].agreement_digits >= 25
         assert rows[0].report.ok
+
+    def test_disagreeing_routes_are_not_cross_checked(self, monkeypatch):
+        monkeypatch.setattr(zeta, "phi_series_coefficient", off_in_fifth_digit(zeta.phi_series_coefficient))
+        row = phi_valuation_profile(3, 1, 1, 4, [6], prec=60)[0]
+        assert row.agreement_digits == 5 and not row.cross_checked
+
+    def test_disagreeing_routes_fail_the_command(self, monkeypatch, capsys):
+        monkeypatch.setattr(zeta, "phi_series_coefficient", off_in_fifth_digit(zeta.phi_series_coefficient))
+        code = cli.main(["zeta-valuations", "--p", "3", "--k", "1", "--d", "4", "--N", "6,8"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == cli.EXIT_MATH == 1
+        assert report["verdict"] == "fail"
+        assert [row["agreement_digits"] for row in report["rows"]] == [5, 5]
+        assert not any(row["ok"] for row in report["rows"])
 
     def test_rejects_bad_d(self):
         with pytest.raises(ValueError):
