@@ -51,7 +51,8 @@ class CarryProfile:
         """Total number of carries; INF when carrying never stops."""
         if self.L == INF:
             return INF
-        assert len(self.gammas) >= self.L
+        if len(self.gammas) < self.L:
+            raise AssertionError(f"{len(self.gammas)} carry bits resolved, fewer than L = {self.L}")
         return sum(self.gammas)
 
 
@@ -184,7 +185,8 @@ def special_index(p: int, f: int, k: int, N: int) -> SpecialIndex:
         M += 1
         tower += q ** (M + 1)
     s = n - (tower - q ** (M + 1))
-    assert 0 <= s < q ** (M + 1)
+    if not 0 <= s < q ** (M + 1):
+        raise AssertionError(f"s = {s} outside 0..q^(M+1) - 1 for M = {M}")
     got = expected_M(k, q, N)
     if M != got:
         raise AssertionError(f"M={M} disagrees with the case table value {got}")
@@ -354,7 +356,8 @@ def term_valuation(idx: SpecialIndex, r: int) -> int | float:
 def dominant_term_valuation(idx: SpecialIndex) -> int:
     """Valuation of the r = s summand: v_p(binom(lam, s)) - (M+1)f."""
     v = vp_binom_lower(idx.lam, idx.s, idx.p)
-    assert v != INF
+    if v == INF:
+        raise AssertionError(f"binom(lam, {idx.s}) vanishes: the dominant term is zero")
     return int(v) - (idx.M + 1) * idx.f
 
 

@@ -153,7 +153,7 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
-LEVEL_DATA_COMMANDS = {"sum-estimate", "qexp-check", "zeta-valuations", "ode-check", "all"}
+LEVEL_DATA_COMMANDS = {"sum-estimate", "qexp-check", "zeta-valuations", "all"}
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:

@@ -72,23 +72,6 @@ def is_p_integral(a: Rational, p: int) -> bool:
     return Fraction(a).denominator % p != 0
 
 
-def padic_digits(lam: Rational, count: int, p: int) -> tuple[int, ...]:
-    """First `count` base-p digits of a rational p-adic integer.
-
-    Uses the exact recursion lam_{i+1} = (lam - digit_i)/p, so eventual
-    periodicity of rational inputs is reproduced exactly.
-    """
-    lam = Fraction(lam)
-    if lam.denominator % p == 0:
-        raise ValueError(f"{lam} is not a p-adic integer for p={p}")
-    digits = []
-    for _ in range(count):
-        d = lam.numerator * pow(lam.denominator, -1, p) % p
-        digits.append(d)
-        lam = (lam - d) / p
-    return tuple(digits)
-
-
 DEFAULT_PREC = 64  # unit digits carried by default, overridable per run
 
 

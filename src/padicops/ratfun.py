@@ -4,9 +4,9 @@ group action, logarithmic derivatives and the first-order relators.
 Poles are restricted to rational points and the denominator is carried in
 factored form prod (x - r)^m throughout; common factors are cancelled by
 root evaluation and synthetic division, never by a polynomial gcd, which
-keeps coefficient growth linear.  Numerator factorisations are cached when
-known (construction from factors, products, substitutions) so that divisor
-queries stay cheap; anything with non-rational roots is rejected loudly.
+keeps coefficient growth linear.  Zeros are found on demand by factoring the
+numerator with `rational_roots`; anything with non-rational roots is rejected
+loudly.
 """
 
 from __future__ import annotations
@@ -141,24 +141,6 @@ class Poly:
                 out = out * base
             base, n = base * base, n >> 1
         return out
-
-    def divmod(self, other: Poly) -> tuple[Poly, Poly]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        div = other.coeffs
-        dq = len(rem) - len(div)
-        if dq < 0:
-            return _ZERO, self
-        quot = [Fraction(0)] * (dq + 1)
-        lead = div[-1]
-        for i in range(dq, -1, -1):
-            c = rem[i + len(div) - 1] / lead
-            quot[i] = c
-            if c:
-                for j, b in enumerate(div):
-                    rem[i + j] -= c * b
-        return Poly(quot), Poly(rem)
 
     def synth_div(self, root: Rational) -> tuple[Poly, Fraction]:
         """Divide by (x - root): returns (quotient, remainder value).
@@ -366,15 +348,13 @@ class RationalFunction:
     """num / prod (x - r)^m with num a polynomial and rational poles only.
 
     The denominator is monic and factored; the fraction is reduced (num does
-    not vanish at any pole).  `numf`, when not None, caches the factorisation
-    of the numerator as (point -> multiplicity); it is maintained through
-    products, powers, scalings and substitutions.
+    not vanish at any pole).  Only num and the pole factors are stored: the
+    zeros are factored out of num when `divisor` or `inverse` needs them.
     """
 
-    __slots__ = ("num", "den_factors", "numf")
+    __slots__ = ("num", "den_factors")
 
-    def __init__(self, num: Poly, den: Poly | Mapping[Rational, int] | Factors = (),
-                 numf: Mapping[Rational, int] | None = None):
+    def __init__(self, num: Poly, den: Poly | Mapping[Rational, int] | Factors = ()):
         if isinstance(den, Poly):
             if den.is_zero():
                 raise ZeroDivisionError("zero denominator")
@@ -385,48 +365,18 @@ class RationalFunction:
             factors = den.items()
         else:
             factors = den
-        self._init_from(num, factors, numf)
-
-    def _init_from(
-        self,
-        num: Poly,
-        factors: Iterable[tuple[Rational, int]],
-        numf: Mapping[Rational, int] | None,
-    ) -> None:
         norm = _normalize_factors(factors)
         if any(m < 0 for _, m in norm):
             raise ValueError("negative pole multiplicity")
-        # reduce: cancel (x - r) against the numerator wherever possible,
-        # keeping the cached numerator factorisation in step
+        # reduce: cancel (x - r) against the numerator wherever possible
         reduced: list[tuple[Fraction, int]] = []
-        cancelled: dict[Fraction, int] = {}
         for r, m in norm:
-            m0 = m
             while m > 0 and not num.is_zero() and num.is_root(r):
                 num, m = num.synth_div(r)[0], m - 1
             if m:
                 reduced.append((r, m))
-            if m != m0:
-                cancelled[r] = m0 - m
         self.num = num
-        self.den_factors = tuple(reduced)
-        if num.is_zero():
-            self.den_factors = ()
-            self.numf = None
-            return
-        if numf is not None and cancelled:
-            numf = dict(numf)
-            for r, c in cancelled.items():
-                have = numf.get(Fraction(r), 0)
-                if have < c:
-                    numf = None
-                    break
-                numf[Fraction(r)] = have - c
-                if numf[Fraction(r)] == 0:
-                    del numf[Fraction(r)]
-        self.numf = dict(numf) if numf is not None else None
-        if self.numf is not None and sum(self.numf.values()) != self.num.degree():
-            self.numf = None
+        self.den_factors = tuple(reduced) if not num.is_zero() else ()
 
     # -- constructors ------------------------------------------------------
 
@@ -436,19 +386,18 @@ class RationalFunction:
 
     @classmethod
     def x(cls) -> RationalFunction:
-        return cls(Poly.of(0, 1), numf={Fraction(0): 1})
+        return cls(Poly.of(0, 1))
 
     @classmethod
     def from_factors(cls, scalar: Rational, factors: Mapping[Rational, int]) -> RationalFunction:
         """lambda * prod (x - a)^e from a factored description."""
-        num, den, numf = Poly.const(scalar), {}, {}
+        num, den = Poly.const(scalar), {}
         for a, e in factors.items():
             if e > 0:
                 num = num * Poly.x_minus(a) ** e
-                numf[Fraction(a)] = e
             elif e < 0:
                 den[Fraction(a)] = -e
-        return cls(num, den, numf=numf)
+        return cls(num, den)
 
     # -- views ---------------------------------------------------------------
 
@@ -490,7 +439,7 @@ class RationalFunction:
         return RationalFunction(self.num * ca + other.num * cb, common)
 
     def __neg__(self) -> RationalFunction:
-        return RationalFunction(-self.num, self.den_factors, numf=self.numf)
+        return RationalFunction(-self.num, self.den_factors)
 
     def __sub__(self, other: RationalFunction) -> RationalFunction:
         return self + (-other)
@@ -498,26 +447,14 @@ class RationalFunction:
     def __mul__(self, other: RationalFunction) -> RationalFunction:
         if self.is_zero() or other.is_zero():
             return RationalFunction(Poly(()))
-        numf = None
-        if self.numf is not None and other.numf is not None:
-            numf = dict(self.numf)
-            for r, m in other.numf.items():
-                numf[r] = numf.get(r, 0) + m
-        return RationalFunction(
-            self.num * other.num,
-            [*self.den_factors, *other.den_factors],
-            numf=numf,
-        )
+        return RationalFunction(self.num * other.num, [*self.den_factors, *other.den_factors])
 
     def inverse(self) -> RationalFunction:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        numf = self.numf if self.numf is not None else dict(rational_roots(self.num))
         scalar = self.num[self.num.degree()]
         return RationalFunction(
-            expand_factors(self.den_factors).scale(1 / scalar),
-            numf,
-            numf={r: m for r, m in self.den_factors},
+            expand_factors(self.den_factors).scale(1 / scalar), rational_roots(self.num)
         )
 
     def __truediv__(self, other: RationalFunction) -> RationalFunction:
@@ -526,19 +463,14 @@ class RationalFunction:
     def scale(self, a: Rational) -> RationalFunction:
         if Fraction(a) == 0:
             return RationalFunction(Poly(()))
-        return RationalFunction(self.num.scale(a), self.den_factors, numf=self.numf)
+        return RationalFunction(self.num.scale(a), self.den_factors)
 
     def __pow__(self, n: int) -> RationalFunction:
         if n < 0:
             return self.inverse() ** (-n)
         if n == 0:
             return RationalFunction.const(1)
-        numf = None if self.numf is None else {r: m * n for r, m in self.numf.items()}
-        return RationalFunction(
-            self.num**n,
-            {r: m * n for r, m in self.den_factors},
-            numf=numf,
-        )
+        return RationalFunction(self.num**n, {r: m * n for r, m in self.den_factors})
 
     def derivative(self) -> RationalFunction:
         """(P/D)' = (P' D0 - P sum_i m_i D0/(x-r_i)) / D0 prod (x-r_i)^(m_i+1)
@@ -569,10 +501,7 @@ class RationalFunction:
         """
         if self.is_zero():
             raise ValueError("the zero function has no divisor")
-        numf = self.numf
-        if numf is None:
-            numf = dict(rational_roots(self.num))
-        out: dict[Fraction, int] = dict(numf)
+        out: dict[Fraction, int] = dict(rational_roots(self.num))
         for r, m in self.den_factors:
             out[r] = out.get(r, 0) - m
         return {a: e for a, e in out.items() if e}
@@ -700,20 +629,7 @@ class MobiusMap:
                 pn = pn.scale(Fraction(1, (-self.c) ** (-shift)))
             else:
                 pn = pn.scale(Fraction(1, self.a ** (-shift)))
-        numf = None
-        if u.numf is not None:
-            numf = {}
-            for r, m in u.numf.items():
-                lead = self.d + r * self.c
-                if lead != 0:
-                    numf[(self.b + r * self.a) / lead] = numf.get((self.b + r * self.a) / lead, 0) + m
-                else:
-                    numf = None
-                    break
-        out = RationalFunction(pn.scale(scalar), _normalize_factors(new_den), numf=numf)
-        if numf is not None and sum(numf.values()) != out.num.degree():
-            out.numf = None
-        return out
+        return RationalFunction(pn.scale(scalar), _normalize_factors(new_den))
 
     def act_partial_coefficient(self) -> RationalFunction:
         """g.(d/dx) = ((-cx + a)^2/det) d/dx; returns the coefficient."""

@@ -56,8 +56,10 @@ def build_cocycle_c(p: int, q: int, k: int, d: int, order: int) -> QSeries:
     lam = Family(p, q, k, d).lam
     ratio, _ = unit_ratio(p, q, order)
     c = ratio.pow_fractional(lam)
-    assert (c**d - ratio**k).is_zero(), "c^d does not recover the unit ratio"
-    assert c[0] == 1
+    if not (c**d - ratio**k).is_zero():
+        raise AssertionError("c^d does not recover the unit ratio")
+    if c[0] != 1:
+        raise AssertionError(f"c has constant term {c[0]}, not 1")
     return c
 
 
@@ -69,24 +71,26 @@ class JReport:
 
 def alpha_and_j(q: int, k: int, d: int, count: int) -> JReport:
     """The integral coefficients a_m = (-1)^m binom(k/d, m) / ((q-1)m - qk/d - 1)
-    and the termwise check that (y d/dy - qk/d - 1) applied to sum a_m y^((q-1)m)
-    recovers (1 - y^(q-1))^(k/d).
+    and the check that (y d/dy - qk/d - 1) applied to A = sum a_m y^((q-1)m)
+    recovers (1 - y^(q-1))^(k/d), whose binomials `binomial_series` derives
+    on its own.
     """
     lam = F(k, d)
     alphas = []
     b = F(1)
-    ok = True
     for m in range(count):
         den = (q - 1) * m - q * lam - 1
         if den == 0:
             raise ZeroDivisionError("vanishing denominator: qk/d is an integer")
-        am = b * (-1) ** m / den
-        alphas.append(am)
-        # identity coefficient: ((q-1)m - qk/d - 1) a_m = (-1)^m binom(k/d, m)
-        if den * am != b * (-1) ** m:
-            ok = False
+        alphas.append(b * (-1) ** m / den)
         b *= F(lam - m, m + 1)
-    return JReport(tuple(alphas), ok)
+    order = (q - 1) * (count - 1) + 1
+    coeffs = [F(0)] * order
+    for m, am in enumerate(alphas):
+        coeffs[(q - 1) * m] = am
+    A = QSeries(tuple(coeffs))
+    resid = A.euler_derivative() - A.scale(q * lam + 1) - binomial_series(lam, order, q - 1)
+    return JReport(tuple(alphas), resid.is_zero())
 
 
 def zeta_series(p: int, q: int, k: int, d: int, order: int) -> QSeries:
@@ -142,7 +146,8 @@ def _solve_recurrence(p: int, q: int, lam: Fraction, c: QSeries, order: int) -> 
     g = []
     for n in range(order):
         den = n - q * lam
-        assert den != 0
+        if den == 0:
+            raise AssertionError(f"vanishing denominator at n = {n}: qk/d is an integer")
         g.append(rhs[n + 1] / den)
     return QSeries(tuple(g)) * binomial_series(-lam, order, q - 1)
 
@@ -194,7 +199,8 @@ def convergence_margin(z: QSeries, p: int) -> Fraction:
         if c != 0:
             v = Fraction(vp_rational(c, p)) + j
             best = v if best is None else min(best, v)
-    assert best is not None
+    if best is None:
+        raise AssertionError("z has no nonzero coefficient")
     return best
 
 

@@ -191,8 +191,14 @@ REJECTED_FAMILIES = {
 @pytest.mark.parametrize("extra", REJECTED_FAMILIES.values(), ids=REJECTED_FAMILIES)
 def test_rejected_family_exits_2(command, extra, capsys):
     argv = [command, "--p", "3", "--f", "1", "--k", "1", "--d", "4", "--N", "6", *extra]
-    assert main(argv) == EXIT_USAGE
+    code = main(argv)
     out, err = capsys.readouterr()
+    if command == "ode-check" and extra == REJECTED_FAMILIES["wrong_parity"]:
+        # ode-check reads no level data, so a level off the parity rule is no error
+        assert code == EXIT_OK, err
+        assert out.encode() == (REPO / "tests" / "golden" / "ode-check.json").read_bytes()
+        return
+    assert code == EXIT_USAGE
     assert out == "" and "error" in err
 
 

@@ -5,12 +5,14 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import padicops
+from padicops.carries import _digit_stream
 from padicops.padics import (
     INF,
     PadicNumber,
@@ -18,7 +20,6 @@ from padicops.padics import (
     binom_rational,
     digit_sum,
     padic_binom,
-    padic_digits,
     varpi_m_valuation,
     varpi_valuation,
     vp_factorial,
@@ -97,6 +98,11 @@ class TestValuations:
             for k in range(0, 10**4, 271):
                 val = vp_factorial(k, p) - vp_factorial(k // p**m, p) - k * wv
                 assert -m <= val <= 0, (p, m, k)
+
+
+def padic_digits(lam, count, p):
+    """The first `count` base-p digits of lam, off the stream the carries use."""
+    return tuple(islice(_digit_stream(F(lam), p), count))
 
 
 class TestDigits:

@@ -72,6 +72,21 @@ class TestCocycleC:
         ratio, _ = unit_ratio(3, 3, 40)
         assert (c**4 - ratio).is_zero()
 
+    def test_power_check_survives_optimize_flag(self):
+        # c^d = ratio^k is the only check on the binomial-series power: it must
+        # be a raise, not an assert that -O strips; perturb c to trip it
+        src = os.path.dirname(os.path.dirname(padicops.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = (
+            "from padicops import zeta\n"
+            "from padicops.series import QSeries\n"
+            "real = QSeries.pow_fractional\n"
+            "QSeries.pow_fractional = lambda u, a: real(u, a) + QSeries.of([0, 0, 1], u.order)\n"
+            "print(zeta.build_cocycle_c(3, 3, 1, 4, 10))\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode != 0 and "does not recover the unit ratio" in proc.stderr, proc.stdout + proc.stderr
+
     def test_higher_k(self):
         c = build_cocycle_c(3, 3, 2, 4, 30)
         ratio, _ = unit_ratio(3, 3, 30)
@@ -95,9 +110,19 @@ class TestAlphaJ:
         assert rep.residual_zero
 
     def test_denominators_never_vanish(self):
-        for q, k, d in [(3, 1, 4), (3, 2, 4), (2, 1, 3), (5, 2, 6)]:
+        for q, k, d in [(3, 1, 4), (3, 2, 4), (2, 1, 3), (3, 3, 4), (5, 1, 6), (5, 2, 6)]:
             rep = alpha_and_j(q, k, d, 60)
             assert rep.residual_zero
+
+    def test_wrong_binomial_fails_the_identity(self, monkeypatch):
+        real = zeta.binomial_series
+
+        def off_by_one(alpha, order, stride=1):
+            s = real(alpha, order, stride)
+            return s + QSeries.of([0] * 2 * stride + [1], order)
+
+        monkeypatch.setattr(zeta, "binomial_series", off_by_one)
+        assert alpha_and_j(3, 1, 4, 40).residual_zero is False
 
 
 class TestZetaSeries:
