@@ -16,6 +16,7 @@ from .padics import (
     PadicNumber,
     PrecisionExhausted,
     Rational,
+    _split,
     is_p_integral,
     vp_int,
 )
@@ -339,18 +340,8 @@ def qexp_check(idx: SpecialIndex) -> QExpReport:
 # ---------------------------------------------------------------------------
 
 
-def denom_valuation(n: int, r: int, q: int, p: int) -> int | float:
-    """v_p((n-r)(q-1) + 1) of the summand denominator."""
-    if not 0 <= r <= n:
-        raise ValueError("need 0 <= r <= n")
-    return vp_int((n - r) * (q - 1) + 1, p)
-
-
-def term_valuation(idx: SpecialIndex, r: int) -> int | float:
-    """Valuation of the r-th summand, via Kummer valuations of both binomials."""
-    v1 = vp_binom_lower(idx.lam, r, idx.p)
-    v2 = vp_binom_kummer(idx.alpha, (idx.q - 1) * (idx.n - r), idx.p)
-    return v1 + v2 - denom_valuation(idx.n, r, idx.q, idx.p)
+class CheckFailed(Exception):
+    """A certificate check came out false: a `fail` verdict, not a usage error."""
 
 
 def dominant_term_valuation(idx: SpecialIndex) -> int:
@@ -361,21 +352,43 @@ def dominant_term_valuation(idx: SpecialIndex) -> int:
     return int(v) - (idx.M + 1) * idx.f
 
 
+def term_valuations(idx: SpecialIndex):
+    """Yield the valuation of every summand of `sum_estimate`, r = 0..n, by
+    Legendre increments: `vp_int` of each factor that `_sum_estimate` folds.
+    Neither lam nor alpha is an integer, so no factor vanishes."""
+    p, n, c = idx.p, idx.n, idx.q - 1
+    ln, ld = idx.lam.numerator, idx.lam.denominator
+    an, ad = idx.alpha.numerator, idx.alpha.denominator
+    v1 = 0  # v(binom(lam, r))
+    v2 = sum(vp_int(an + i * ad, p) - vp_int(i, p) for i in range(1, c * n + 1))  # v(S_{n,r})
+    for r in range(n + 1):
+        yield v1 + v2 - vp_int((n - r) * c + 1, p)
+        if r < n:
+            v1 += vp_int(ln - r * ld, p) - vp_int(r + 1, p)
+            for j in range(c * (n - r) - c + 1, c * (n - r) + 1):
+                v2 += vp_int(j, p) - vp_int(an + j * ad, p)
+
+
 def argmin_term_valuation(idx: SpecialIndex) -> tuple[int, int]:
     """Scan all 0 <= r <= n; return (argmin, min valuation).
 
-    A tie for the minimum is a hard failure: the dominant term is strictly
-    unique by construction of the special index.
+    Raises CheckFailed on a tie for the minimum (the dominant term is strictly
+    unique by construction of the special index) and when the scan's value at
+    r = s differs from the carry count of `dominant_term_valuation`.
     """
-    best_r, best_v = idx.s, dominant_term_valuation(idx)
-    for r in range(idx.n + 1):
-        if r == idx.s:
-            continue
-        v = term_valuation(idx, r)
+    best_r, best_v, tie_r, v_s = -1, INF, None, None
+    for r, v in enumerate(term_valuations(idx)):
         if v < best_v:
-            best_r, best_v = r, int(v)
+            best_r, best_v, tie_r = r, v, None
         elif v == best_v:
-            raise AssertionError(f"valuation tie at r={r} and r={best_r}")
+            tie_r = r
+        if r == idx.s:
+            v_s = v
+    v_dom = dominant_term_valuation(idx)
+    if v_s != v_dom:
+        raise CheckFailed(f"the scan gives {v_s} at r = s = {idx.s}, the carry count {v_dom}")
+    if tie_r is not None:
+        raise CheckFailed(f"valuation tie at r={tie_r} and r={best_r}")
     return best_r, best_v
 
 
@@ -399,10 +412,7 @@ MAX_N_FOR_Q = {2: 12, 3: 10}  # desk-scale caps; larger N rejected
 def _check_scale(idx: SpecialIndex) -> None:
     cap = MAX_N_FOR_Q.get(idx.q, 8)
     if idx.N > cap:
-        raise ValueError(
-            f"N={idx.N} exceeds the desk-scale cap {cap} for q={idx.q} "
-            f"(the sum has n={idx.n} terms; expect roughly {idx.n // 3000 + 1}s per extra run)"
-        )
+        raise ValueError(f"N={idx.N} exceeds the desk-scale cap {cap} for q={idx.q}: the sum has {idx.n + 1} terms")
 
 
 _SUM_MEMO: dict[tuple[SpecialIndex, int], SumReport] = {}
@@ -440,31 +450,31 @@ def sum_estimate(
 
 def _sum_estimate(idx: SpecialIndex, prec: int, progress) -> SumReport:
     _check_scale(idx)
-    p, q, n = idx.p, idx.q, idx.n
+    p, n, c, mod = idx.p, idx.n, idx.q - 1, idx.p**prec
     ln, ld = idx.lam.numerator, idx.lam.denominator
     an, ad = idx.alpha.numerator, idx.alpha.denominator
-    c = q - 1
-
-    b1 = PadicNumber.from_rational(1, p, prec)  # binom(lam, r)
+    # binom(lam, r) and S_{n,r} as p^v * num/den with num, den units mod p^prec;
     # S_{n,0} = binom(alpha + cn, cn) = prod_{i=1..cn} (alpha + i)/i
-    b2 = PadicNumber.from_rational(1, p, prec)
+    v1, n1, d1 = v2, n2, d2 = 0, 1, 1
     for i in range(1, c * n + 1):
-        b2 = b2.mul_rational(an + i * ad, ad * i, prec)  # (alpha + i)/i
-
-    total = PadicNumber.zero(p, 10**9)
+        a, b, v = _split(an + i * ad, ad * i, p)
+        v2, n2, d2 = v2 + v, n2 * a % mod, d2 * b % mod
     for r in range(n + 1):
         if progress is not None and r % 8192 == 0:
             progress(r, n)
-        den = (n - r) * c + 1
-        sign = (-1) ** (r + c * (n - r))
-        term = (b1 * b2).mul_rational(sign, den, prec)
-        total = total + term
+        # the one modular inverse per term: every denominator so far is folded into d1 * d2
+        a, b, v = _split((-1) ** (r + c * (n - r)), (n - r) * c + 1, p)
+        term = PadicNumber(p, v1 + v2 + v, n1 * n2 * a * pow(d1 * d2 * b, -1, mod) % mod, prec)
+        total = term if r == 0 else total + term
         if r < n:
-            b1 = b1.mul_rational(ln - r * ld, ld * (r + 1), prec)  # (lam - r)/(r + 1)
-            # binom(a-c, b-c)/binom(a, b) = prod_{j=b-c+1..b} j/(alpha+j)
-            b = c * (n - r)
-            for j in range(b - c + 1, b + 1):
-                b2 = b2.mul_rational(j * ad, an + j * ad, prec)  # j/(alpha + j)
+            a, b, v = _split(ln - r * ld, ld * (r + 1), p)  # (lam - r)/(r + 1)
+            v1, n1, d1 = v1 + v, n1 * a % mod, d1 * b % mod
+            # S_{n,r+1}/S_{n,r} = prod_{j=B-c+1..B} j/(alpha + j), B = c(n - r), as one quotient
+            top = bot = 1
+            for j in range(c * (n - r) - c + 1, c * (n - r) + 1):
+                top, bot = top * j * ad, bot * (an + j * ad)
+            a, b, v = _split(top, bot, p)
+            v2, n2, d2 = v2 + v, n2 * a % mod, d2 * b % mod
 
     if total.is_zero():
         raise PrecisionExhausted(

@@ -293,8 +293,11 @@ def cmd_sum_estimate(cfg: RunConfig) -> Report:
         if idx.n > 10**4:
             progress = lambda r, n: print(f"  sum-estimate N={N}: {r}/{n}", file=sys.stderr)
         rep = carries.sum_estimate(idx, cfg.prec, progress=progress)
-        r_min, v_min = carries.argmin_term_valuation(idx)
-        unique = r_min == idx.s
+        try:
+            unique = carries.argmin_term_valuation(idx)[0] == idx.s
+        except carries.CheckFailed as e:
+            print(f"  sum-estimate N={N}: {e}", file=sys.stderr)
+            unique = False
         decreasing = prev is None or rep.v_sum < prev
         prev = rep.v_sum
         good = rep.ok and unique and decreasing

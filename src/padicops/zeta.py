@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .carries import Family, SpecialIndex, sum_estimate, SumReport
-from .padics import PadicNumber, Rational, padic_binom, vp_int, vp_rational
+from .padics import PadicNumber, padic_binom, vp_int, vp_rational
 from .series import QSeries, binomial_series
 
 F = Fraction

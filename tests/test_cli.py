@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from padicops import carries
 from padicops.cli import (
     COMMANDS,
     EXIT_MATH,
@@ -174,6 +175,53 @@ def test_default_output_matches_golden_bytes(command):
     )
     assert proc.returncode == EXIT_OK, proc.stderr.decode()
     assert proc.stdout == (REPO / "tests" / "golden" / f"{command}.json").read_bytes()
+
+
+# (p, f, k, d) and levels of the other two release families, pinned in
+# tests/golden/<command>-<p>-<f>-<k>-<d>.json
+GOLDEN_FAMILIES = {(2, 1, 1, 3): "6,8,10", (3, 1, 3, 4): "7,9"}
+
+
+@pytest.mark.parametrize("command", ["sum-estimate", "zeta-valuations"])
+@pytest.mark.parametrize("family", list(GOLDEN_FAMILIES), ids=str)
+def test_release_family_output_matches_golden_bytes(command, family, capsys):
+    p, f, k, d = family
+    argv = [command, "--p", str(p), "--f", str(f), "--k", str(k), "--d", str(d),
+            "--N", GOLDEN_FAMILIES[family]]
+    assert main(argv) == EXIT_OK
+    golden = REPO / "tests" / "golden" / f"{command}-{p}-{f}-{k}-{d}.json"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+def test_failed_uniqueness_proof_is_a_fail_row(monkeypatch, capsys):
+    # a carry count off by one disagrees with the Legendre scan at r = s
+    real = carries.dominant_term_valuation
+    monkeypatch.setattr(carries, "dominant_term_valuation", lambda idx: real(idx) - 1)
+    monkeypatch.setattr(carries, "_SUM_MEMO", {})
+    code = main(["sum-estimate", "--p", "2", "--f", "1", "--k", "1", "--d", "3", "--N", "6,8"])
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert code == EXIT_MATH
+    assert report["verdict"] == "fail"
+    assert [row["argmin_unique"] for row in report["rows"]] == [False, False]
+    assert not any(row["ok"] for row in report["rows"])
+    assert "carry count" in err and "Traceback" not in err
+
+
+def test_valuation_tie_is_a_fail_row(monkeypatch, capsys):
+    real = carries.term_valuations
+
+    def tied(idx):
+        vals = list(real(idx))
+        vals[idx.s + 1] = vals[idx.s]
+        return iter(vals)
+
+    monkeypatch.setattr(carries, "term_valuations", tied)
+    code = main(["sum-estimate", "--p", "2", "--f", "1", "--k", "1", "--d", "3", "--N", "6"])
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert code == EXIT_MATH and report["verdict"] == "fail"
+    assert report["rows"][0]["argmin_unique"] is False and "tie" in err
 
 
 # inputs outside the family (p, f, k, d) = (3, 1, k, d) at level N = 6
