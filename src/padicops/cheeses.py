@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padics import vp_rational, varpi_valuation
+from .padics import INF, vp_rational, varpi_valuation
 from .ratfun import Poly, RationalFunction, Rational
 
 
@@ -62,10 +62,10 @@ class Cheese:
                 if self._dist_exp(a, b) < max(e, f):
                     raise ValueError(f"holes at {a} and {b} overlap")
 
-    def _dist_exp(self, a: Fraction, b: Fraction) -> Fraction:
-        """log_p |a - b|; -inf is represented by a very negative Fraction."""
+    def _dist_exp(self, a: Fraction, b: Fraction) -> Fraction | float:
+        """log_p |a - b|, and -INF when a = b."""
         v = vp_rational(a - b, self.p)
-        return Fraction(-10**9) if v == float("inf") else Fraction(-v)
+        return -INF if v == INF else Fraction(-v)
 
     # -- radii -------------------------------------------------------------
 

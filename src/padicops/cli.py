@@ -368,34 +368,34 @@ def cmd_zeta_valuations(cfg: RunConfig) -> Report:
 
 
 def cmd_ode_check(cfg: RunConfig) -> Report:
-    q = cfg.q
-    rep = zeta.ode_residual(cfg.p, q, cfg.k, cfg.d, cfg.order)
-    xv = zeta.xvzero_series(cfg.p, q, cfg.k, cfg.d, min(cfg.order, 80))
-    jrep = zeta.alpha_and_j(q, cfg.k, cfg.d, cfg.order // 2)
-    margin = zeta.convergence_margin(rep.solution, cfg.p)
-    ok = (
-        rep.residual_is_zero
-        and rep.recurrence_matches
-        and xv.residual_is_zero
-        and xv.leading_term == cfg.p
-        and jrep.residual_zero
-        and margin >= 0
-    )
+    p, q, k, d, order = cfg.p, cfg.q, cfg.k, cfg.d, cfg.order
+    xorder = min(order, 80)
+    try:
+        rep = zeta.ode_residual(p, q, k, d, order)
+        xv = zeta.xvzero_series(p, q, k, d, xorder)
+        z = rep.solution
+        on_c = [rep.residual_is_zero, rep.recurrence_matches, xv.residual_is_zero, xv.leading_term == p]
+    except carries.CheckFailed as e:
+        # a failed check on the unit c (c^d = ratio^k) fails the four rows built on c
+        print(f"  ode-check: {e}", file=sys.stderr)
+        z, on_c = zeta.zeta_series(p, q, k, d, order), [False] * 4
+    jrep = zeta.alpha_and_j(q, k, d, order // 2)
+    margin = zeta.convergence_margin(z, p)
     rows = [
-        {"check": "ode_residual_zero_through_order", "order": cfg.order, "ok": rep.residual_is_zero},
-        {"check": "matches_term_by_term_solution", "order": cfg.order, "ok": rep.recurrence_matches},
-        {"check": "integral_coefficient_identity", "order": cfg.order // 2, "ok": jrep.residual_zero},
-        {"check": "window_function_equation", "order": xv.order, "ok": xv.residual_is_zero},
-        {"check": "window_function_leading_term_is_p", "order": xv.order, "ok": xv.leading_term == cfg.p},
-        {"check": "partial_sums_bounded_at_radius_1_over_p", "order": cfg.order,
+        {"check": "ode_residual_zero_through_order", "order": order, "ok": on_c[0]},
+        {"check": "matches_term_by_term_solution", "order": order, "ok": on_c[1]},
+        {"check": "integral_coefficient_identity", "order": order // 2, "ok": jrep.residual_zero},
+        {"check": "window_function_equation", "order": xorder, "ok": on_c[2]},
+        {"check": "window_function_leading_term_is_p", "order": xorder, "ok": on_c[3]},
+        {"check": "partial_sums_bounded_at_radius_1_over_p", "order": order,
          "ok": margin >= 0, "margin": fmt_val(margin)},
     ]
     return Report(
         "ode-check",
         "the closed-form series is the unique formal solution of the twisted equation",
-        {"p": cfg.p, "q": q, "k": cfg.k, "d": cfg.d, "order": cfg.order},
+        {"p": p, "q": q, "k": k, "d": d, "order": order},
         rows,
-        "pass" if ok else "fail",
+        "pass" if all(row["ok"] for row in rows) else "fail",
     )
 
 

@@ -25,37 +25,59 @@ Rational = Fraction | int
 # ---------------------------------------------------------------------------
 
 
-class Poly:
-    """Dense univariate polynomial over Q, held as integer numerators over one
-    denominator: p(x) = (num[0] + num[1] x + ... + num[n] x^n) / den.
+def reduce_content(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """Divide num and den (> 0) by gcd(content, den); den = 1 if num is all 0."""
+    g = gcd(den, *num)
+    if g != 1:
+        return tuple(c // g for c in num), den // g
+    return tuple(num), den
 
-    Normal form: no trailing zero in num, den > 0, gcd(content, den) = 1, and
-    den = 1 for the zero polynomial, so equality and hashing compare
-    (num, den).  Arithmetic runs on integers only; `coeffs` is the Fraction
-    view (coeffs[i] is the x^i coefficient), built on demand.  Instances are
-    immutable.
+
+def _normal(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """(num, den) in Poly's normal form; den must be positive, num is consumed."""
+    n = len(num)
+    while n and not num[n - 1]:
+        n -= 1
+    del num[n:]
+    return reduce_content(num, den)
+
+
+class IntegerNumerators:
+    """Rational coefficients num[i] / den over one denominator, the base of
+    `Poly` and `series.QSeries`.  Normal form: den > 0, gcd(content, den) = 1
+    and den = 1 when all num[i] are 0, so equality and hashing compare
+    (num, den).  `coeffs` is the Fraction view, built on demand; immutable.
     """
 
     __slots__ = ("num", "den")
+    _normal_form = staticmethod(reduce_content)
 
     def __init__(self, coeffs: Iterable[Rational] = ()):
         cs = [Fraction(c) for c in coeffs]
         den = lcm(*(c.denominator for c in cs))
-        num, den = _normal([c.numerator * (den // c.denominator) for c in cs], den)
+        num, den = self._normal_form([c.numerator * (den // c.denominator) for c in cs], den)
         _set_num(self, num)
         _set_den(self, den)
 
+    @classmethod
+    def _raw(cls, num: tuple[int, ...], den: int):
+        """An instance from parts already in normal form."""
+        out = object.__new__(cls)
+        _set_num(out, num)
+        _set_den(out, den)
+        return out
+
     def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"Poly is immutable: cannot set {name!r}")
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
 
     def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"Poly is immutable: cannot delete {name!r}")
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
     def __reduce__(self):
-        return (_raw, (self.num, self.den))
+        return (self._raw, (self.num, self.den))
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Poly:
+        if other.__class__ is not self.__class__:
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
@@ -66,6 +88,21 @@ class Poly:
     def coeffs(self) -> tuple[Fraction, ...]:
         den = self.den
         return tuple(Fraction(c, den) for c in self.num)
+
+    def __getitem__(self, i: int) -> Fraction:
+        return Fraction(self.num[i], self.den) if 0 <= i < len(self.num) else Fraction(0)
+
+
+_set_num, _set_den = (IntegerNumerators.__dict__[name].__set__ for name in ("num", "den"))
+
+
+class Poly(IntegerNumerators):
+    """Dense polynomial over Q, p(x) = (num[0] + ... + num[n] x^n) / den, with
+    no trailing zero in num.  Arithmetic runs on integers only.
+    """
+
+    __slots__ = ()
+    _normal_form = staticmethod(_normal)
 
     @classmethod
     def of(cls, *coeffs: Rational) -> Poly:
@@ -85,9 +122,6 @@ class Poly:
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
         return len(self.num) - 1
-
-    def __getitem__(self, i: int) -> Fraction:
-        return Fraction(self.num[i], self.den) if 0 <= i < len(self.num) else Fraction(0)
 
     def __add__(self, other: Poly) -> Poly:
         a, b = self.num, other.num
@@ -226,29 +260,7 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
 
-_set_num, _set_den = (Poly.__dict__[name].__set__ for name in Poly.__slots__)
-
-
-def _normal(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
-    """(num, den) in normal form; den must be positive, num is consumed."""
-    n = len(num)
-    while n and not num[n - 1]:
-        n -= 1
-    if not n:
-        return (), 1
-    del num[n:]
-    g = gcd(den, *num)
-    if g != 1:
-        return tuple(c // g for c in num), den // g
-    return tuple(num), den
-
-
-def _raw(num: tuple[int, ...], den: int) -> Poly:
-    """A Poly from parts already in normal form."""
-    out = object.__new__(Poly)
-    _set_num(out, num)
-    _set_den(out, den)
-    return out
+_raw = Poly._raw
 
 
 def _make(num: list[int], den: int) -> Poly:

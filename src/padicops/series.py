@@ -6,115 +6,119 @@ valuation work where exact numerators would explode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from typing import Iterable
 
-from .padics import PadicNumber, Rational, vp_rational
+from .padics import PadicNumber, Rational
+from .ratfun import IntegerNumerators, reduce_content
 
 
-@dataclass(frozen=True)
-class QSeries:
-    """Exact power series mod y^order: coeffs[j] is the y^j coefficient."""
+class QSeries(IntegerNumerators):
+    """Exact power series mod y^order: the y^j coefficient is num[j] / den,
+    with len(num) = order, in the normal form of `IntegerNumerators`.
+    Arithmetic runs on integers only, and a product forms only the `order`
+    retained slots, never the full product.
+    """
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return f"QSeries({self.coeffs!r})"
 
     @property
     def order(self) -> int:
-        return len(self.coeffs)
+        return len(self.num)
 
     @classmethod
     def zero(cls, order: int) -> QSeries:
-        return cls((Fraction(0),) * order)
+        return _raw((0,) * order, 1)
 
     @classmethod
     def one(cls, order: int) -> QSeries:
-        return cls((Fraction(1),) + (Fraction(0),) * (order - 1))
+        return _raw((1,) + (0,) * (order - 1), 1)
+
+    @classmethod
+    def over(cls, num: Iterable[int], den: int) -> QSeries:
+        """The series with y^j coefficient num[j] / den, for den > 0."""
+        return _make(list(num), den)
 
     @classmethod
     def of(cls, coeffs: list[Rational], order: int | None = None) -> QSeries:
-        cs = [Fraction(c) for c in coeffs]
+        cs = list(coeffs)
         if order is not None:
-            cs = (cs + [Fraction(0)] * order)[:order]
-        return cls(tuple(cs))
-
-    def __getitem__(self, j: int) -> Fraction:
-        return self.coeffs[j] if 0 <= j < len(self.coeffs) else Fraction(0)
+            cs = (cs + [0] * order)[:order]
+        return cls(cs)
 
     def truncate(self, order: int) -> QSeries:
-        return QSeries.of(list(self.coeffs), order)
+        return _make(list(self.num[:order]) + [0] * (order - len(self.num)), self.den)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def __add__(self, other: QSeries) -> QSeries:
-        n = min(self.order, other.order)
-        return QSeries(tuple(self.coeffs[j] + other.coeffs[j] for j in range(n)))
+        a, b, da, db = self.num, other.num, self.den, other.den
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        return _make([a[j] * fa + b[j] * fb for j in range(min(len(a), len(b)))], da * fa)
 
     def __neg__(self) -> QSeries:
-        return QSeries(tuple(-c for c in self.coeffs))
+        return _raw(tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other: QSeries) -> QSeries:
         return self + (-other)
 
     def __mul__(self, other: QSeries) -> QSeries:
-        n = min(self.order, other.order)
-        out = [Fraction(0)] * n
-        for i, a in enumerate(self.coeffs[:n]):
-            if a:
-                for j in range(n - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-        return QSeries(tuple(out))
+        """The truncated product: only the slots y^0 .. y^(order-1) are formed."""
+        a, b = self.num, other.num
+        n = min(len(a), len(b))
+        out = [0] * n
+        for i in range(n):
+            x = a[i]
+            if x:
+                for j, y in enumerate(b[: n - i], i):
+                    out[j] += x * y
+        return _make(out, self.den * other.den)
 
     def scale(self, a: Rational) -> QSeries:
         a = Fraction(a)
-        return QSeries(tuple(a * c for c in self.coeffs))
+        return _make([c * a.numerator for c in self.num], self.den * a.denominator)
 
     def shift(self, k: int) -> QSeries:
         """Multiply by y^k (k >= 0), keeping the order."""
-        return QSeries((Fraction(0),) * k + self.coeffs[: self.order - k])
-
-    def inverse(self) -> QSeries:
-        if self[0] == 0:
-            raise ZeroDivisionError("inverse needs a unit constant term")
-        inv0 = 1 / self.coeffs[0]
-        out = [inv0] + [Fraction(0)] * (self.order - 1)
-        for j in range(1, self.order):
-            acc = Fraction(0)
-            for i in range(1, j + 1):
-                if self.coeffs[i]:
-                    acc += self.coeffs[i] * out[j - i]
-            out[j] = -inv0 * acc
-        return QSeries(tuple(out))
-
-    def __truediv__(self, other: QSeries) -> QSeries:
-        return self * other.inverse()
-
-    def y_derivative(self) -> QSeries:
-        """d/dy, losing the top coefficient."""
-        return QSeries(tuple((j + 1) * self[j + 1] for j in range(self.order)))
+        n = len(self.num)
+        return _make([0] * min(k, n) + list(self.num[: max(n - k, 0)]), self.den)
 
     def euler_derivative(self) -> QSeries:
         """y d/dy: multiplies the y^j coefficient by j."""
-        return QSeries(tuple(j * c for j, c in enumerate(self.coeffs)))
+        return _make([j * c for j, c in enumerate(self.num)], self.den)
+
+    def inverse(self) -> QSeries:
+        if not self.num[0]:
+            raise ZeroDivisionError("inverse needs a unit constant term")
+        c = 1 / self[0]
+        return self.scale(c).pow_fractional(-1).scale(c)
 
     def pow_fractional(self, alpha: Rational) -> QSeries:
-        """u^alpha for a series with constant term 1, via u g' = alpha u' g."""
-        if self[0] != 1:
+        """u^alpha for a series with constant term 1, via u g' = alpha u' g.
+
+        With alpha = a/b, u = U/du and g = G/D, the y^(m-1) coefficient of
+        that equation gives G_m = sum_(i=1..m) (a i - b (m-i)) U_i G_(m-i) over
+        the new denominator D T, T = b du m, so the earlier numerators are
+        rescaled by T; the result is normalised once at the end.
+        """
+        U, du, n = self.num, self.den, len(self.num)
+        if not n or U[0] != du:
             raise ValueError("fractional powers need constant term 1")
         alpha = Fraction(alpha)
-        u = self.coeffs
-        g = [Fraction(1)] + [Fraction(0)] * (self.order - 1)
-        for j in range(self.order - 1):
-            # coefficient of y^j in u g' = alpha u' g
-            acc = Fraction(0)
-            for i in range(1, j + 2):
-                ui = u[i] if i < len(u) else Fraction(0)
-                if ui:
-                    acc += (alpha * i - (j + 1 - i)) * ui * g[j + 1 - i]
-            g[j + 1] = acc / (j + 1)
-        return QSeries(tuple(g))
+        a, b = alpha.numerator, alpha.denominator
+        G, D = [1], 1
+        for m in range(1, n):
+            acc = sum((a * i - b * (m - i)) * U[i] * G[m - i] for i in range(1, m + 1) if U[i])
+            T = b * du * m
+            G = [g * T for g in G] + [acc]
+            D *= T
+        return _make(G, D)
 
     def __pow__(self, n: int) -> QSeries:
         if n < 0:
@@ -135,12 +139,12 @@ class QSeries:
             out = out * inner + QSeries.of([c], self.order)
         return out
 
-    def stride_part(self, stride: int) -> QSeries:
-        """The K[[y^stride]]-component, reindexed in s = y^stride."""
-        return QSeries(tuple(self.coeffs[j] for j in range(0, self.order, stride)))
 
-    def valuations(self, p: int) -> list[Fraction | float]:
-        return [vp_rational(c, p) for c in self.coeffs]
+_raw = QSeries._raw
+
+
+def _make(num: list[int], den: int) -> QSeries:
+    return _raw(*reduce_content(num, den))
 
 
 def binomial_series(alpha: Rational, order: int, stride: int = 1) -> QSeries:

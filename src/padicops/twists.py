@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cheeses import gauss_valuation
-from .padics import varpi_valuation, vp_factorial, vp_rational
+from .padics import INF, varpi_valuation, vp_factorial, vp_rational
 from .ratfun import MobiusMap, RationalFunction, dlog
 from .skew import SkewLaurentSeries, apply_to_function, star
 
@@ -103,7 +103,7 @@ def xi_build(tw: TwistData, k_neg: int, p: int) -> SkewLaurentSeries:
         for n in range(1, k_neg + 1)
     }
 
-    def tail(j: int) -> Fraction:
+    def tail(j: int) -> Fraction | float:
         return Fraction(vp_factorial(-j - 1, p)) if j < -k_neg else Fraction(0)
 
     return SkewLaurentSeries(coeffs, lo_exact=False, tail=tail)
@@ -206,17 +206,17 @@ def beta_build(g: MobiusMap, depth: int, p: int, r_exp: Fraction | int | None = 
         wn = wn * w
         coeffs[n] = wn.scale(Fraction(1, math.factorial(n)))
 
-    def tail(j: int) -> Fraction:
-        return j * vw - vp_factorial(j, p) if j > depth else Fraction(10**9)
+    def tail(j: int) -> Fraction | float:
+        return j * vw - vp_factorial(j, p) if j > depth else INF
 
     return SkewLaurentSeries(coeffs, hi_exact=False, tail=tail)
 
 
-def beta_tail_valuation(g: MobiusMap, depth: int, p: int) -> Fraction:
+def beta_tail_valuation(g: MobiusMap, depth: int, p: int) -> Fraction | float:
     """Lower bound for the reference valuation of every omitted beta term."""
     w = displacement(g)
     if w.is_zero():
-        return Fraction(10**9)
+        return INF
     vw = gauss_valuation(w, p)
     return min((n * vw - vp_factorial(n, p)) for n in range(depth + 1, depth + 40))
 
@@ -270,7 +270,7 @@ def cocycle_identities(u: RF, v: RF, d: int, g: MobiusMap, depth: int, p: int) -
       c_u(g) cut at order depth - alpha, exactly.
     """
     w = displacement(g)
-    vw = gauss_valuation(w, p) if not w.is_zero() else Fraction(10**9)
+    vw = gauss_valuation(w, p) if not w.is_zero() else INF
     tau = (depth + 1) * vw
     tw = h_sequence(u, d, depth, p)
     cu = cocycle_from_tw(tw, g, depth)

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
-from .carries import Family, SpecialIndex, sum_estimate, SumReport
+from .carries import CheckFailed, Family, SpecialIndex, sum_estimate, SumReport
 from .padics import PadicNumber, padic_binom, vp_int, vp_rational
 from .series import QSeries, binomial_series
 
@@ -37,12 +38,12 @@ def unit_ratio(p: int, q: int, order: int) -> tuple[QSeries, list[Fraction]]:
     # f = (N - D)/(p y^2), which must land in Z[y]
     diff = N - D
     if diff[0] != 0 or diff[1] != 0:
-        raise AssertionError("ratio is not 1 mod y^2")
+        raise CheckFailed("ratio is not 1 mod y^2")
     fpoly = []
     for j in range(2, q + 2):
         c = diff[j] / p
         if c.denominator != 1:
-            raise AssertionError(f"f coefficient {c} at y^{j - 2} is not an integer")
+            raise CheckFailed(f"f coefficient {c} at y^{j - 2} is not an integer")
         fpoly.append(c)
     return ratio, fpoly
 
@@ -57,9 +58,9 @@ def build_cocycle_c(p: int, q: int, k: int, d: int, order: int) -> QSeries:
     ratio, _ = unit_ratio(p, q, order)
     c = ratio.pow_fractional(lam)
     if not (c**d - ratio**k).is_zero():
-        raise AssertionError("c^d does not recover the unit ratio")
+        raise CheckFailed("c^d does not recover the unit ratio")
     if c[0] != 1:
-        raise AssertionError(f"c has constant term {c[0]}, not 1")
+        raise CheckFailed(f"c has constant term {c[0]}, not 1")
     return c
 
 
@@ -98,24 +99,29 @@ def zeta_series(p: int, q: int, k: int, d: int, order: int) -> QSeries:
 
         z = p (1-y^(q-1))^(-k/d) sum_r binom(k/d, r)(-1)^r y^((q-1)r) B_r,
         B_r = ((1-y)^(mu_r) - 1)/(mu_r y),   mu_r = 1 + qk/d - (q-1) r.
+
+    With k/d = ln/ld, every summand is an integer over ld^(order-1) order!.
     """
     lam = Family(p, q, k, d).lam
-    S = QSeries.zero(order)
-    bk = F(1)  # binom(k/d, r)
+    ln, ld = lam.numerator, lam.denominator
+    c = q - 1
+    fact = factorial(order)
+    S = [0] * order
+    bk = 1  # (-1)^r binom(k/d, r) ld^r r!
     r = 0
-    while (q - 1) * r < order:
-        mu = 1 + q * lam - (q - 1) * r
-        blen = order - (q - 1) * r
-        b = F(1)  # binom(mu - 1, n)
-        coeffs = []
+    while c * r < order:
+        blen = order - c * r
+        m1 = q * ln - c * r * ld  # (mu_r - 1) ld
+        b = 1  # binom(mu_r - 1, n) ld^n n!
+        # w = bk ld^(order-1-r-n) order! / (r! (n+1)!), an integer while n < blen
+        w = bk * ld ** (order - 1 - r) * (fact // factorial(r))
         for n in range(blen):
-            coeffs.append(b * F((-1) ** (n + 1), n + 1))
-            b *= F(mu - 1 - n, n + 1)
-        scaled = [c * bk * (-1) ** r for c in coeffs]
-        S = S + QSeries.of([Fraction(0)] * ((q - 1) * r) + scaled, order)
-        bk *= F(lam - r, r + 1)
+            S[c * r + n] += (w if n % 2 else -w) * b
+            b *= m1 - n * ld
+            w //= ld * (n + 2)
+        bk *= r * ld - ln
         r += 1
-    return (S * binomial_series(-lam, order, q - 1)).scale(p)
+    return (QSeries.over(S, ld ** (order - 1) * fact) * binomial_series(-lam, order, q - 1)).scale(p)
 
 
 def nabla_apply(f: QSeries, p: int, q: int, k: int, d: int) -> QSeries:

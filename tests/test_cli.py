@@ -26,6 +26,7 @@ from padicops.cli import (
     parse_config_file,
     strong_probable_prime,
 )
+from padicops.series import QSeries
 from fractions import Fraction as F
 
 
@@ -193,6 +194,16 @@ def test_release_family_output_matches_golden_bytes(command, family, capsys):
     assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 
+# ode-check beyond the default family: both release families, a larger p
+# and an f = 2 family, pinned in tests/golden/ode-check-<p>-<f>-<k>-<d>.json
+@pytest.mark.parametrize("family", [(2, 1, 1, 3), (3, 1, 3, 4), (5, 1, 1, 6), (2, 2, 1, 5)], ids=str)
+def test_ode_check_family_output_matches_golden_bytes(family, capsys):
+    p, f, k, d = family
+    assert main(["ode-check", "--p", str(p), "--f", str(f), "--k", str(k), "--d", str(d)]) == EXIT_OK
+    golden = REPO / "tests" / "golden" / f"ode-check-{p}-{f}-{k}-{d}.json"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
 def test_failed_uniqueness_proof_is_a_fail_row(monkeypatch, capsys):
     # a carry count off by one disagrees with the Legendre scan at r = s
     real = carries.dominant_term_valuation
@@ -222,6 +233,20 @@ def test_valuation_tie_is_a_fail_row(monkeypatch, capsys):
     report = json.loads(out)
     assert code == EXIT_MATH and report["verdict"] == "fail"
     assert report["rows"][0]["argmin_unique"] is False and "tie" in err
+
+
+def test_failed_power_check_is_a_fail_row(monkeypatch, capsys):
+    # a perturbed fractional power breaks c^d = ratio^k: the rows built on c
+    # fail, the rows that do not read c still pass, and nothing is raised
+    real = QSeries.pow_fractional
+    monkeypatch.setattr(QSeries, "pow_fractional",
+                        lambda u, a: real(u, a) + QSeries.of([0, 0, 1], u.order))
+    code = main(["ode-check", "--order", "20"])
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert code == EXIT_MATH and report["verdict"] == "fail"
+    assert [row["ok"] for row in report["rows"]] == [False, False, True, False, False, True]
+    assert "does not recover the unit ratio" in err and "Traceback" not in err
 
 
 # inputs outside the family (p, f, k, d) = (3, 1, k, d) at level N = 6
