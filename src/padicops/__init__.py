@@ -5,10 +5,10 @@ Subpackage map:
 - padics: valuations, capped-precision p-adic numbers, binomials
 - carries: carry functions, Kummer valuations, the special index sums
 - ratfun: exact rational functions, divisors, Mobius action, relators
-- cheeses: affinoid domain descriptors and exact sup/operator norms
+- cheeses: circle and Gauss valuations of rational functions
 - skew: truncated skew-Laurent operators and the star product
 - twists: twisting automorphisms, microlocal inverses, beta operators
-- dwork: the Dwork projector and Euler operators
+- dwork: the Dwork projector and the Frobenius-descent relation
 - zeta: the differential equation at infinity and its solution series
 - cli: the verification runner
 """

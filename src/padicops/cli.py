@@ -372,7 +372,7 @@ def cmd_ode_check(cfg: RunConfig) -> Report:
     xorder = min(order, 80)
     try:
         rep = zeta.ode_residual(p, q, k, d, order)
-        xv = zeta.xvzero_series(p, q, k, d, xorder)
+        xv = zeta.xvzero_series(p, q, k, d, rep.c.truncate(xorder))
         z = rep.solution
         on_c = [rep.residual_is_zero, rep.recurrence_matches, xv.residual_is_zero, xv.leading_term == p]
     except carries.CheckFailed as e:

@@ -1,5 +1,5 @@
 """The Dwork projector onto functions of x^q, its idempotent and partition
-identities, the Frobenius-descent operator relation, and Euler operators.
+identities, and the Frobenius-descent operator relation.
 
 Root-of-unity sums are precollapsed to integers: since sum_zeta zeta^j is q
 when q | j and 0 otherwise, the projector
@@ -23,9 +23,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padics import vp_rational
 from .ratfun import Poly, RationalFunction
-from .skew import SkewLaurentSeries, apply_to_function, star
+from .skew import SkewLaurentSeries, star
 
 RF = RationalFunction
 
@@ -174,49 +173,3 @@ def frobenius_relation(q: int, lam: Fraction | int, i: int, trunc: int) -> Dwork
             failures.append(f"aggregate descent fails on x^{j}")
     return DworkReport(q, trunc, orders, tuple(failures))
 
-
-# ---------------------------------------------------------------------------
-# Euler operators
-# ---------------------------------------------------------------------------
-
-
-def euler_apply(n: int, f: Poly, m: int = 0) -> SkewLaurentSeries:
-    """E_n(f D^m) = binom(xD - m, n)(f) D^m.
-
-    The Euler weight of x^a under binom(xD - m, n) is binom(a - m, n); m may
-    be any integer (negative m models the D^(-m) basis vectors).
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    out = Poly(())
-    for a, c in enumerate(f.coeffs):
-        if c:
-            w = euler_weight(n, a - m)
-            out = out + Poly.of(*([0] * a + [c * w]))
-    if out.is_zero():
-        return SkewLaurentSeries.zero()
-    return SkewLaurentSeries.of({m: RF(out)})
-
-
-def euler_weight(n: int, m: int) -> Fraction:
-    """binom(m, n): the eigenvalue of E_n on the basis vector of weight m."""
-    w = Fraction(1)
-    for t in range(n):
-        w *= Fraction(m - t, t + 1)
-    return w
-
-
-def euler_integrality_check(n_max: int, p: int, samples: list[tuple[Poly, int]]) -> bool:
-    """n! binom(ad(xD), n) applied termwise stays p-integral on integral input.
-
-    Checks that for f D^m with p-integral f, the coefficients of
-    binom(xD - m, n)(f) are p-integral for all n <= n_max.
-    """
-    for f, m in samples:
-        for n in range(n_max + 1):
-            img = euler_apply(n, f, m)
-            for _, coeff in img.coeffs.items():
-                for c in coeff.num.coeffs:
-                    if vp_rational(c, p) < 0:
-                        return False
-    return True

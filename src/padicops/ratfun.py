@@ -420,14 +420,6 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_constant(self) -> bool:
-        return self.num.degree() <= 0 and not self.den_factors
-
-    def as_constant(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("not a constant")
-        return self.num[0]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFunction):
             return NotImplemented
@@ -521,9 +513,6 @@ class RationalFunction:
     def support(self) -> set[Fraction]:
         return set(self.divisor())
 
-    def pole_points(self) -> list[tuple[Fraction, int]]:
-        return list(self.den_factors)
-
 
 def dlog(u: RationalFunction) -> RationalFunction:
     """Logarithmic derivative u'/u = sum v_a/(x - a)."""
@@ -563,10 +552,6 @@ class MobiusMap:
     @classmethod
     def of(cls, a: Rational, b: Rational, c: Rational, d: Rational) -> MobiusMap:
         return cls(Fraction(a), Fraction(b), Fraction(c), Fraction(d))
-
-    @classmethod
-    def identity(cls) -> MobiusMap:
-        return cls.of(1, 0, 0, 1)
 
     @classmethod
     def translation(cls, b: Rational) -> MobiusMap:

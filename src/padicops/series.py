@@ -130,15 +130,6 @@ class QSeries(IntegerNumerators):
             base, n = base * base, n >> 1
         return out
 
-    def compose(self, inner: QSeries) -> QSeries:
-        """self(inner(y)) for inner with zero constant term, by Horner."""
-        if inner[0] != 0:
-            raise ValueError("composition needs inner constant term 0")
-        out = QSeries.zero(self.order)
-        for c in reversed(self.coeffs):
-            out = out * inner + QSeries.of([c], self.order)
-        return out
-
 
 _raw = QSeries._raw
 

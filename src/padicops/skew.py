@@ -1,6 +1,6 @@
 """Truncated skew-Laurent operator arithmetic over rational-function
-coefficients: the star product, Ore inverse expansions, transpose, norms,
-the Mobius action on operators, and level-m divided-power bases.
+coefficients: the star product, the action on functions, transpose, and
+level-m divided-power bases.
 
 An operator is a finite sum a_j * D^j (D = d/dx, j in Z).  Products follow
 the bidirectional convolution
@@ -10,7 +10,7 @@ the bidirectional convolution
 which for stored finite supports collapses to one term per coefficient pair.
 Negative powers of D make true products infinite in the negative direction,
 so every series records whether its stored support is complete on each side
-(`lo_exact` / `hi_exact`) plus an optional valuation bound for omitted tails.
+(`lo_exact` / `hi_exact`).
 """
 
 from __future__ import annotations
@@ -18,11 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Mapping
 
-from .cheeses import Cheese, gauss_valuation, sup_valuation
-from .padics import vp_factorial
-from .ratfun import MobiusMap, Poly, Rational, RationalFunction
+from .padics import varpi_m_valuation, vp_factorial
+from .ratfun import Poly, Rational, RationalFunction
 
 RF = RationalFunction
 DEFAULT_WINDOW = 40  # default K_neg = K_pos
@@ -50,24 +49,15 @@ class SkewLaurentSeries:
 
     coeffs maps D-degree to a RationalFunction; zero coefficients are not
     stored.  lo_exact / hi_exact state that the underlying object has no
-    omitted terms below/above the stored window.  tail, when present, maps an
-    omitted degree to a lower bound for the reference (unit-circle) valuation
-    of its coefficient.
+    omitted terms below/above the stored window.
     """
 
-    __slots__ = ("coeffs", "lo_exact", "hi_exact", "tail")
+    __slots__ = ("coeffs", "lo_exact", "hi_exact")
 
-    def __init__(
-        self,
-        coeffs: Mapping[int, RF],
-        lo_exact: bool = True,
-        hi_exact: bool = True,
-        tail: Callable[[int], Fraction] | None = None,
-    ):
+    def __init__(self, coeffs: Mapping[int, RF], lo_exact: bool = True, hi_exact: bool = True):
         self.coeffs = {k: v for k, v in coeffs.items() if not v.is_zero()}
         self.lo_exact = lo_exact
         self.hi_exact = hi_exact
-        self.tail = tail
 
     # -- constructors ------------------------------------------------------
 
@@ -78,15 +68,6 @@ class SkewLaurentSeries:
     @classmethod
     def one(cls) -> SkewLaurentSeries:
         return cls({0: RF.const(1)})
-
-    @classmethod
-    def partial(cls, n: int = 1) -> SkewLaurentSeries:
-        """D^n for any integer n."""
-        return cls({n: RF.const(1)})
-
-    @classmethod
-    def function(cls, f) -> SkewLaurentSeries:
-        return cls({0: _rf(f)})
 
     @classmethod
     def of(cls, coeffs: Mapping[int, object]) -> SkewLaurentSeries:
@@ -131,7 +112,7 @@ class SkewLaurentSeries:
 
     def __neg__(self) -> SkewLaurentSeries:
         return SkewLaurentSeries(
-            {k: -v for k, v in self.coeffs.items()}, self.lo_exact, self.hi_exact, self.tail
+            {k: -v for k, v in self.coeffs.items()}, self.lo_exact, self.hi_exact
         )
 
     def __sub__(self, other: SkewLaurentSeries) -> SkewLaurentSeries:
@@ -190,25 +171,6 @@ def star(u: SkewLaurentSeries, v: SkewLaurentSeries, lo: int | None = None) -> S
     return SkewLaurentSeries(out, lo_exact, hi_exact)
 
 
-def commutator(u: SkewLaurentSeries, v: SkewLaurentSeries, lo: int | None = None) -> SkewLaurentSeries:
-    return star(u, v, lo) - star(v, u, lo)
-
-
-def ore_inverse_expansion(a: Poly, n_max: int | None = None) -> SkewLaurentSeries:
-    """D^{-1} a = sum_{n <= deg a} (-1)^n delta^n(a) D^{-n-1}; exact and finite."""
-    deg = max(a.degree(), 0)
-    if n_max is not None and n_max < deg:
-        raise ValueError(f"need n_max >= deg(a) = {deg}")
-    out: dict[int, RF] = {}
-    d = RF(a, Poly.of(1))
-    n = 0
-    while not d.is_zero():
-        out[-n - 1] = d.scale((-1) ** n)
-        d = d.derivative()
-        n += 1
-    return SkewLaurentSeries(out)
-
-
 def apply_to_function(u: SkewLaurentSeries, f: RF | Poly | Rational) -> RF:
     """sum_{j >= 0} a_j f^(j): the action on functions (skew-Tate part only)."""
     f = _rf(f)
@@ -238,68 +200,6 @@ def transpose(u: SkewLaurentSeries) -> SkewLaurentSeries:
                 out[k] = out[k] + term if k in out else term
             d = d.derivative()
     return SkewLaurentSeries(out, u.lo_exact, u.hi_exact)
-
-
-def group_transform(g: MobiusMap, u: SkewLaurentSeries) -> SkewLaurentSeries:
-    """Coefficientwise Mobius action plus the expansion of g.D^n.
-
-    g.D^[n] = sum_{i=1..n} binom(n-1, i-1) (-cx+a)^(n+i) (-c)^(n-i) / det^n D^[i],
-    so g.(a_n D^n) = (g.a_n) n! sum_i (...) D^i / i!.
-    """
-    if u.lo() < 0:
-        raise ValueError("the group acts on nonnegative windows")
-    y = Poly.of(g.a, -g.c)  # -cx + a
-    out: dict[int, RF] = {}
-
-    def add(k: int, t: RF) -> None:
-        if not t.is_zero():
-            out[k] = out[k] + t if k in out else t
-
-    for n, an in u.coeffs.items():
-        gan = g.act_function(an)
-        if n == 0:
-            add(0, gan)
-            continue
-        for i in range(1, n + 1):
-            c = (
-                Fraction(math.comb(n - 1, i - 1))
-                * Fraction(math.factorial(n), math.factorial(i))
-                * (-g.c) ** (n - i)
-                / g.det**n
-            )
-            add(i, gan * RF(y ** (n + i), Poly.of(1)).scale(c))
-    return SkewLaurentSeries(out, u.lo_exact, u.hi_exact)
-
-
-def series_norm_valuation(
-    u: SkewLaurentSeries,
-    s_exp: Rational,
-    r_exp: Rational,
-    X: Cheese,
-) -> tuple[Fraction, bool]:
-    """Valuation of max(sup_{j>=0} |a_j| r^j, sup_{j<0} |a_j| s^j).
-
-    Returns (valuation, certain); certain is False when an omitted tail could
-    in principle dominate the stored part (no tail bound, or bound too weak).
-    """
-    s_exp, r_exp = Fraction(s_exp), Fraction(r_exp)
-    vals = []
-    for j, aj in u.coeffs.items():
-        e = r_exp if j >= 0 else s_exp
-        vals.append(sup_valuation(aj, X) - j * e)
-    if not vals:
-        raise ValueError("norm of an empty window")
-    best = min(vals)
-    certain = u.lo_exact and u.hi_exact
-    if not certain and u.tail is not None:
-        lo, hi = u.lo(), u.hi()
-        probes = []
-        if not u.lo_exact:
-            probes += [(u.tail(k), s_exp if k < 0 else r_exp, k) for k in range(lo - 8, lo)]
-        if not u.hi_exact:
-            probes += [(u.tail(k), s_exp if k < 0 else r_exp, k) for k in range(hi + 1, hi + 9)]
-        certain = all(t - k * e > best for t, e, k in probes)
-    return best, certain
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +264,7 @@ def epsilon_valuation(n: int, m: int, p: int) -> Fraction:
     The value always lies in [-m, 0].
     """
     pm = p**m
-    wv = Fraction(vp_factorial(pm, p), pm)  # valuation of the level-m radius scalar
+    wv = varpi_m_valuation(m, p)
     if n >= 0:
         return vp_factorial(n, p) - n * wv - vp_factorial(qfloor(n, m, p), p)
     nn = -n
@@ -372,20 +272,3 @@ def epsilon_valuation(n: int, m: int, p: int) -> Fraction:
     ell = i * pm - nn
     return nn * wv + vp_factorial(ell, p) + vp_factorial(i, p) - vp_factorial(i * pm, p)
 
-
-def dk_formula_unit_valuation(k: int, m: int, p: int) -> Fraction:
-    """v_p of the scalar u with D^<k> = u * prod_j (D^<p^j>)^{c_j} (D^<p^m>)^c.
-
-    Here c_j are the base-p digits of k below p^m and c = floor(k/p^m); the
-    relation holds with u a p-adic unit, so the returned value must be 0.
-    """
-    lhs = Fraction(vp_factorial(qfloor(k, m, p), p) - vp_factorial(k, p))
-    rhs = Fraction(0)
-    t = k
-    for j in range(m):
-        c_j = t % p
-        t //= p
-        rhs += c_j * Fraction(vp_factorial(qfloor(p**j, m, p), p) - vp_factorial(p**j, p))
-    c = k // p**m
-    rhs += c * Fraction(vp_factorial(qfloor(p**m, m, p), p) - vp_factorial(p**m, p))
-    return lhs - rhs

@@ -18,11 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cheeses import gauss_valuation
-from .padics import INF, varpi_valuation, vp_factorial, vp_rational
-from .ratfun import MobiusMap, RationalFunction, dlog
+from .padics import INF, binom_rational, varpi_valuation, vp_factorial, vp_rational
+from .ratfun import MobiusMap, Poly, RationalFunction, dlog
 from .skew import SkewLaurentSeries, apply_to_function, star
 
 RF = RationalFunction
+DEPTH_SLACK = 6  # degrees the micro-inverse products keep below the window
 
 
 @dataclass(frozen=True)
@@ -54,9 +55,6 @@ def h_sequence(u: RF, d: int, depth: int, p: int | None = None) -> TwistData:
 
 def h_closed_form_monomial(alpha, k: int, d: int, n: int) -> RF:
     """h[n] for u = (x - alpha)^k: binom(-k/d, n) (x - alpha)^(-n)."""
-    from .padics import binom_rational
-    from .ratfun import Poly
-
     c = binom_rational(Fraction(-k, d), n)
     return RF(Poly.of(1), Poly.x_minus(alpha) ** n).scale(c)
 
@@ -86,7 +84,7 @@ def theta_partial(tw: TwistData) -> SkewLaurentSeries:
     return SkewLaurentSeries.of({1: RF.const(1), 0: tw.h[1]})
 
 
-def xi_build(tw: TwistData, k_neg: int, p: int) -> SkewLaurentSeries:
+def xi_build(tw: TwistData, k_neg: int) -> SkewLaurentSeries:
     """Truncation of the two-sided inverse of theta(D):
 
         xi = sum_{n>=1} (-1)^(n-1) (n-1)! h[n-1] D^(-n),
@@ -102,11 +100,7 @@ def xi_build(tw: TwistData, k_neg: int, p: int) -> SkewLaurentSeries:
         -n: tw.h[n - 1].scale((-1) ** (n - 1) * math.factorial(n - 1))
         for n in range(1, k_neg + 1)
     }
-
-    def tail(j: int) -> Fraction | float:
-        return Fraction(vp_factorial(-j - 1, p)) if j < -k_neg else Fraction(0)
-
-    return SkewLaurentSeries(coeffs, lo_exact=False, tail=tail)
+    return SkewLaurentSeries(coeffs, lo_exact=False)
 
 
 @dataclass(frozen=True)
@@ -119,19 +113,17 @@ class ResidualReport:
     ok: bool
 
 
-def micro_inverse_residual(
-    u: RF, d: int, k_neg: int, p: int, depth_slack: int = 6
-) -> tuple[ResidualReport, ResidualReport]:
+def micro_inverse_residual(u: RF, d: int, k_neg: int, p: int) -> tuple[ResidualReport, ResidualReport]:
     """Residuals of xi * theta(D) - 1 and theta(D) * xi - 1 at window k_neg.
 
     Inside the window the truncated products must vanish identically (that is
     the content of the h-recurrence); at and below -k_neg the residuals are
     tail effects whose reference valuations must clear v_p(k_neg!).
     """
-    tw = h_sequence(u, d, k_neg + depth_slack, p)
-    xi = xi_build(tw, k_neg, p)
+    tw = h_sequence(u, d, k_neg + DEPTH_SLACK, p)
+    xi = xi_build(tw, k_neg)
     th = theta_partial(tw)
-    lo = -k_neg - depth_slack
+    lo = -k_neg - DEPTH_SLACK
     threshold = Fraction(vp_factorial(k_neg, p))
     reports = []
     for prod in (star(xi, th, lo=lo), star(th, xi, lo=lo)):
@@ -187,29 +179,22 @@ def in_group_of_radius(g: MobiusMap, p: int, r_exp: Fraction | int) -> bool:
     return True
 
 
-def beta_build(g: MobiusMap, depth: int, p: int, r_exp: Fraction | int | None = None) -> SkewLaurentSeries:
+def beta_build(g: MobiusMap, depth: int, p: int) -> SkewLaurentSeries:
     """Truncation of beta(g) = sum_n (g.x - x)^n D^[n] at order `depth`.
 
-    If r_exp is given, membership of g in the radius group is enforced first.
     Omitted order n carries reference valuation at least
-    n * v(g.x - x) - v_p(n!).
+    n * v(g.x - x) - v_p(n!) (`beta_tail_valuation`).  The truncation does
+    not depend on p.
     """
-    if r_exp is not None and not in_group_of_radius(g, p, r_exp):
-        raise ValueError(f"{g} is not in the substitution group at radius exponent {r_exp}")
     w = displacement(g)
     if w.is_zero():
         return SkewLaurentSeries.one()
-    vw = gauss_valuation(w, p)
     coeffs: dict[int, RF] = {0: RF.const(1)}
     wn = RF.const(1)
     for n in range(1, depth + 1):
         wn = wn * w
         coeffs[n] = wn.scale(Fraction(1, math.factorial(n)))
-
-    def tail(j: int) -> Fraction | float:
-        return j * vw - vp_factorial(j, p) if j > depth else INF
-
-    return SkewLaurentSeries(coeffs, hi_exact=False, tail=tail)
+    return SkewLaurentSeries(coeffs, hi_exact=False)
 
 
 def beta_tail_valuation(g: MobiusMap, depth: int, p: int) -> Fraction | float:

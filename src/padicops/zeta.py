@@ -134,19 +134,13 @@ def nabla_apply(f: QSeries, p: int, q: int, k: int, d: int) -> QSeries:
     return (t1 - t2 - t3).scale(F(-1, p))
 
 
-def zeta_by_recurrence(p: int, q: int, k: int, d: int, order: int) -> QSeries:
-    """Solve nabla(z) = c - 1 term by term; the unique-solution oracle.
+def _solve_recurrence(p: int, q: int, lam: Fraction, c: QSeries, order: int) -> QSeries:
+    """Solve nabla(z) = c - 1 term by term; c must be known to order + 1.
 
     With g = (1-y^(q-1))^(k/d) z the equation reads
     y (y d/dy - qk/d)(g) = -p (1-y^(q-1))^(k/d) (c - 1), so
     g_n = -p [eps (c-1)]_(n+1) / (n - qk/d), never dividing by zero.
     """
-    c = build_cocycle_c(p, q, k, d, order + 1)  # rejects parameters outside the family
-    return _solve_recurrence(p, q, F(k, d), c, order)
-
-
-def _solve_recurrence(p: int, q: int, lam: Fraction, c: QSeries, order: int) -> QSeries:
-    """The term-by-term solution from c, which must be known to order + 1."""
     eps = binomial_series(lam, order + 1, q - 1)
     rhs = (eps * (c - QSeries.one(order + 1))).scale(-p)
     g = []
@@ -165,36 +159,19 @@ class OdeReport:
     recurrence_matches: bool
     max_nonzero_index: int | None
     solution: QSeries  # the closed form z through y^(order-1)
+    c: QSeries  # the unit c through y^order
 
 
 def ode_residual(p: int, q: int, k: int, d: int, order: int) -> OdeReport:
     """nabla(z) - (c - 1) must vanish identically on all retained coefficients,
-    and the closed form must agree with the term-by-term solution."""
+    and the closed form must agree with the term-by-term solution.  Raises
+    CheckFailed when c fails its own checks."""
     z = zeta_series(p, q, k, d, order)
     c = build_cocycle_c(p, q, k, d, order + 1)
     resid = nabla_apply(z, p, q, k, d) - (c.truncate(order) - QSeries.one(order))
     bad = [j for j in range(order) if resid[j] != 0]
     z2 = _solve_recurrence(p, q, F(k, d), c, order)
-    return OdeReport(order, not bad, (z - z2).is_zero(), max(bad) if bad else None, z)
-
-
-def eta_apply(f: QSeries) -> QSeries:
-    """The substitution y -> y/(1 - y) extending the translation action."""
-    inner = QSeries(tuple(Fraction(1) if j >= 1 else Fraction(0) for j in range(f.order)))
-    return f.compose(inner)
-
-
-def eta_commutes_with_euler(order: int, samples: list[QSeries]) -> bool:
-    """eta commutes with y^2 d/dy on K[[y]] (checked on retained coefficients).
-
-    y^2 d/dy drops the top coefficient, so the comparison stops one short.
-    """
-    for f in samples:
-        lhs = eta_apply(f.euler_derivative().shift(1))
-        rhs = eta_apply(f).euler_derivative().shift(1)
-        if not (lhs - rhs).truncate(order - 1).is_zero():
-            return False
-    return True
+    return OdeReport(order, not bad, (z - z2).is_zero(), max(bad) if bad else None, z, c)
 
 
 def convergence_margin(z: QSeries, p: int) -> Fraction:
@@ -240,20 +217,21 @@ class XvZeroReport:
     max_nonzero_index: int | None
 
 
-def xvzero_series(p: int, q: int, k: int, d: int, order: int) -> XvZeroReport:
+def xvzero_series(p: int, q: int, k: int, d: int, c: QSeries) -> XvZeroReport:
     """Build (xi beta(h))_0 = -sum_{n>=1} (1/n)(-p)^n h[n-1] and check that
     nabla of it equals 1 - c exactly, coefficient by coefficient.
 
-    h[n] has y-order >= n, so the sum truncated at n = order is y-adically
-    exact to the working order.
+    The working order is that of c (from `build_cocycle_c`).  h[n] has
+    y-order >= n, so the sum truncated at n = order is y-adically exact to
+    the working order.
     """
+    order = c.order
     hs = h_sequence_y(p, q, k, d, order, order)
     f = QSeries.zero(order)
     pw = 1
     for n in range(1, order + 1):
         pw *= -p
         f = f + hs[n - 1].scale(F(-pw, n))
-    c = build_cocycle_c(p, q, k, d, order)
     resid = nabla_apply(f, p, q, k, d) - (QSeries.one(order) - c)
     bad = [j for j in range(order) if resid[j] != 0]
     return XvZeroReport(order, f[0], not bad, max(bad) if bad else None)

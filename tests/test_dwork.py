@@ -6,13 +6,9 @@ from padicops.dwork import (
     dwork_build,
     dwork_coefficients,
     dwork_identities,
-    euler_apply,
-    euler_integrality_check,
-    euler_weight,
     frobenius_relation,
 )
 from padicops.ratfun import Poly
-from padicops.skew import SkewLaurentSeries
 
 
 class TestCoefficients:
@@ -76,53 +72,3 @@ class TestIdentities:
         with pytest.raises(ValueError):
             frobenius_relation(2, 0, 2, 12)
 
-
-class TestEuler:
-    def test_identity_operator(self):
-        f = Poly.of(0, 0, 1)
-        assert euler_apply(0, f) == SkewLaurentSeries.of({0: f})
-
-    def test_monomial_eigenvalues(self):
-        import math
-
-        for n in range(4):
-            for m in range(6):
-                img = euler_apply(n, Poly.of(*([0] * m + [1])))
-                want = math.comb(m, n)
-                if want == 0:
-                    assert img.is_zero()
-                else:
-                    assert img[0].num.coeffs[-1] == want
-
-    def test_negative_weight(self):
-        img = euler_apply(2, Poly.of(1), 3)
-        assert img[3].as_constant() == 6
-        assert euler_weight(2, -3) == 6
-
-    def test_integrality(self):
-        samples = [(Poly.of(1, 1, 2), 2), (Poly.of(0, 3, 1), 5), (Poly.of(1), 0), (Poly.of(7, 0, 2), 1)]
-        for p in (2, 3, 5):
-            assert euler_integrality_check(10, p, samples)
-
-    def test_falling_factorial_composition(self):
-        # n! E_n acts termwise as the falling factorial of the weight shift:
-        # (xD - m)(xD - m - 1)...(xD - m - n + 1)
-        import math
-
-        def weight_shift_apply(f, m, offset):
-            out = Poly(())
-            for a, c in enumerate(f.coeffs):
-                out = out + Poly.of(*([0] * a + [c * (a - m - offset)]))
-            return out
-
-        for f, m in [(Poly.of(1, 1, 2), 2), (Poly.of(0, 3, 1), -1), (Poly.of(5, 0, 0, 1), 4)]:
-            for n in range(6):
-                acc = f
-                for t in range(n):
-                    acc = weight_shift_apply(acc, m, t)
-                img = euler_apply(n, f, m)
-                want = acc.scale(F(1, math.factorial(n)))
-                if want.is_zero():
-                    assert img.is_zero()
-                else:
-                    assert img[m].num == want

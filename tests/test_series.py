@@ -116,14 +116,6 @@ class FractionQSeries:
             base, n = base * base, n >> 1
         return out
 
-    def compose(self, inner):
-        if inner[0] != 0:
-            raise ValueError("composition needs inner constant term 0")
-        out = FractionQSeries.zero(self.order)
-        for c in reversed(self.coeffs):
-            out = out * inner + FractionQSeries.of([c], self.order)
-        return out
-
 
 def normal(s: QSeries) -> QSeries:
     """Assert the normal form of s and return it."""
@@ -192,12 +184,6 @@ class TestFractionOracle:
         agree(u**n, ru**n)
 
     @given(a=series_lists, b=series_lists)
-    @settings(max_examples=40)
-    def test_compose(self, a, b):
-        (u, ru), (v, rv) = pair(a), pair([0] + b)
-        agree(u.compose(v), ru.compose(rv))
-
-    @given(a=series_lists, b=series_lists)
     @settings(max_examples=60)
     def test_equal_coefficients_are_equal_and_hash_equal(self, a, b):
         u, v = QSeries(a), QSeries(b)
@@ -260,13 +246,6 @@ class TestQSeries:
         u = QSeries.of([1] + cs, 10)
         ua, ub = u.pow_fractional(a), u.pow_fractional(b)
         assert (ua * ub - u.pow_fractional(a + b)).is_zero()
-
-    def test_compose(self):
-        f = QSeries.of([0, 0, 1], 8)  # y^2
-        g = QSeries.of([0, 1, 1], 8)  # y + y^2
-        assert f.compose(g).coeffs[:5] == (F(0), F(0), F(1), F(2), F(1))
-        with pytest.raises(ValueError):
-            f.compose(QSeries.one(8))
 
     def test_derivatives(self):
         f = QSeries.of([5, 1, 3], 5)

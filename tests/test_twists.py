@@ -88,7 +88,7 @@ class TestTheta:
     def test_depth_guard(self):
         tw = h_sequence(x, 2, 3)
         with pytest.raises(ValueError):
-            theta_apply(tw, S.partial(5))
+            theta_apply(tw, S.of({5: 1}))
 
     def test_symbol_action_on_root_generator(self):
         # P acting on the d-th root generator of (x-a)^k multiplies it by
@@ -141,9 +141,9 @@ class TestTheta:
 
         R_u = as_series(relator(pts, u, d))
         tw_u = h_sequence(u, d, 4)
-        assert R_u == star(S.function(delta), theta_partial(tw_u))
+        assert R_u == star(S.of({0: delta}), theta_partial(tw_u))
         tw_shift = h_sequence(u * delta**d, d, 4)
-        assert R_u == star(theta_partial(tw_shift), S.function(delta))
+        assert R_u == star(theta_partial(tw_shift), S.of({0: delta}))
         R_uv = as_series(relator(pts, u * v, d))
         R_v = as_series(relator(pts, v, d))
         assert R_uv == theta_apply(tw_u, R_v)
@@ -152,13 +152,13 @@ class TestTheta:
 class TestMicroInverse:
     def test_xi_leading_coefficients(self):
         tw = h_sequence(RF.from_factors(1, {0: 3}), 2, 10, 5)
-        xi = xi_build(tw, 8, 5)
+        xi = xi_build(tw, 8)
         assert xi[-1] == RF.const(1)
         assert xi[-2] == RF.from_factors(F(3, 2), {0: -1})
 
     def test_trivial_unit_is_exact_inverse(self):
         tw = h_sequence(RF.const(1), 3, 10, 5)
-        xi = xi_build(tw, 8, 5)
+        xi = xi_build(tw, 8)
         prod = star(xi, theta_partial(tw), lo=-10)
         assert prod == S.one()
 
@@ -186,10 +186,10 @@ class TestMicroInverse:
         assert r1.ok and r2.ok
 
 
-def drop_top_term(g, depth, p, r_exp=None):
+def drop_top_term(g, depth, p):
     """beta_build with its highest retained term missing."""
-    b = beta_build(g, depth, p, r_exp)
-    return S({k: c for k, c in b.coeffs.items() if k != depth}, hi_exact=False, tail=b.tail)
+    b = beta_build(g, depth, p)
+    return S({k: c for k, c in b.coeffs.items() if k != depth}, hi_exact=False)
 
 
 HOM_PAIRS = [
@@ -203,7 +203,7 @@ class TestBeta:
     def test_translation_coefficients(self):
         b = beta_build(MobiusMap.translation(5), 6, 5)
         assert b[3] == RF.const(F(125, 6))
-        assert beta_build(MobiusMap.identity(), 5, 5) == S.one()
+        assert beta_build(MobiusMap.of(1, 0, 0, 1), 5, 5) == S.one()
 
     def test_substitution_on_monomials_exact(self):
         g = MobiusMap.translation(5)
@@ -227,8 +227,6 @@ class TestBeta:
         assert not in_group_of_radius(MobiusMap.translation(1), 5, F(-1, 4))
         assert not in_group_of_radius(MobiusMap.of(1, 0, 1, 1), 5, F(-1, 4))
         assert in_group_of_radius(MobiusMap.of(6, 5, 25, 1), 5, F(-1, 4))
-        with pytest.raises(ValueError):
-            beta_build(MobiusMap.translation(1), 6, 5, F(-1, 4))
 
     def test_homomorphism_within_tail_bounds(self):
         p, depth = 5, 8
