@@ -11,29 +11,23 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .padics import vp_rational
-from .ratfun import Poly, RationalFunction, Rational
+from .ratfun import RationalFunction, Rational
 
 
 def circle_valuation(f: RationalFunction, p: int, center: Rational, radius_exp: Rational) -> Fraction:
     """-log_p of the multiplicative Gauss norm on the circle |x-center| = p^e.
 
-    For a polynomial sum c_i (x-center)^i the norm is max |c_i| p^(ie); this
-    extends multiplicatively to quotients, so no root-finding is needed.
+    For a polynomial sum c_i (x-center)^i the norm is max |c_i| p^(ie), so
+    its valuation is min_i (v(c_i) - ie); a pole factor (x - r) has valuation
+    min(-e, v_p(center - r)).  No root-finding is needed.
     """
     if f.is_zero():
         raise ZeroDivisionError("circle valuation of zero")
-    return _poly_circle_valuation(f.num, p, center, radius_exp) - _poly_circle_valuation(
-        f.den, p, center, radius_exp
-    )
-
-
-def _poly_circle_valuation(poly: Poly, p: int, center: Rational, radius_exp: Rational) -> Fraction:
-    shifted = poly.shift(Fraction(center))
     e = Fraction(radius_exp)
-    # |sum c_i t^i| = max |c_i| p^(ie) on |t| = p^e, so the valuation is
-    # min_i (v(c_i) - ie)
-    vals = [Fraction(vp_rational(c, p)) - i * e for i, c in enumerate(shifted.coeffs) if c != 0]
-    return min(vals)
+    shifted = f.num.shift(Fraction(center))
+    zeros = min(Fraction(vp_rational(c, p)) - i * e for i, c in enumerate(shifted.coeffs) if c)
+    poles = sum(m * min(-e, vp_rational(center - r, p)) for r, m in f.den_factors)
+    return zeros - poles
 
 
 def gauss_valuation(f: RationalFunction, p: int) -> Fraction:

@@ -463,7 +463,7 @@ def cmd_beta_check(cfg: RunConfig) -> Report:
     rng = random.Random(cfg.seed)
     rows = []
     ok = True
-    good_tr = twists.beta_substitution_exact(ratfun.MobiusMap.translation(p), 30, p)
+    good_tr = twists.beta_substitution_exact(ratfun.MobiusMap.translation(p), 30)
     ok &= good_tr
     rows.append({"check": "translation_substitution_exact", "range": "m<=30", "ok": good_tr})
     # sampled homomorphism beta(gh) = beta(g) beta(h) within tail bounds

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 Rational = Fraction | int
 
@@ -285,12 +285,23 @@ def expand_factors(factors: Factors) -> Poly:
     return out
 
 
-def _normalize_factors(items: Iterable[tuple[Rational, int]]) -> Factors:
-    acc: dict[Fraction, int] = {}
-    for r, m in items:
-        r = Fraction(r)
-        acc[r] = acc.get(r, 0) + m
-    return tuple(sorted((r, m) for r, m in acc.items() if m))
+def _zip_factors(a: Factors, b: Factors) -> Iterator[tuple[Fraction, int, int]]:
+    """Merge two sorted factor tuples: (root, multiplicity in a, in b), by root."""
+    i = j = 0
+    while i < len(a) and j < len(b):
+        (r, m), (s, n) = a[i], b[j]
+        if r == s:
+            yield r, m, n
+            i += 1
+            j += 1
+        elif r < s:
+            yield r, m, 0
+            i += 1
+        else:
+            yield s, 0, n
+            j += 1
+    yield from ((r, m, 0) for r, m in a[i:])
+    yield from ((s, 0, n) for s, n in b[j:])
 
 
 def rational_roots(poly: Poly) -> list[tuple[Fraction, int]]:
@@ -359,36 +370,21 @@ def _divisors(n: int) -> list[int]:
 class RationalFunction:
     """num / prod (x - r)^m with num a polynomial and rational poles only.
 
-    The denominator is monic and factored; the fraction is reduced (num does
-    not vanish at any pole).  Only num and the pole factors are stored: the
-    zeros are factored out of num when `divisor` or `inverse` needs them.
+    `den_factors` is the sorted tuple ((r, m), ...), all m > 0, of the monic
+    denominator, and num does not vanish at any pole.  Poles come in as a
+    root -> multiplicity map.  Only the constructor, `+`, `*` and
+    `MobiusMap.act_function` can meet a common factor, so only they cancel.
+    Zeros are factored out of num when `divisor` or `inverse` needs them.
     """
 
     __slots__ = ("num", "den_factors")
 
-    def __init__(self, num: Poly, den: Poly | Mapping[Rational, int] | Factors = ()):
-        if isinstance(den, Poly):
-            if den.is_zero():
-                raise ZeroDivisionError("zero denominator")
-            lead = den[den.degree()]
-            factors: Iterable[tuple[Rational, int]] = rational_roots(den)
-            num = num.scale(1 / lead)
-        elif isinstance(den, Mapping):
-            factors = den.items()
-        else:
-            factors = den
-        norm = _normalize_factors(factors)
-        if any(m < 0 for _, m in norm):
+    def __init__(self, num: Poly, poles: Mapping[Rational, int] | None = None):
+        factors = sorted((Fraction(r), m) for r, m in (poles or {}).items() if m)
+        if any(m < 0 for _, m in factors):
             raise ValueError("negative pole multiplicity")
-        # reduce: cancel (x - r) against the numerator wherever possible
-        reduced: list[tuple[Fraction, int]] = []
-        for r, m in norm:
-            while m > 0 and not num.is_zero() and num.is_root(r):
-                num, m = num.synth_div(r)[0], m - 1
-            if m:
-                reduced.append((r, m))
-        self.num = num
-        self.den_factors = tuple(reduced) if not num.is_zero() else ()
+        reduced = _reduced(num, factors)
+        self.num, self.den_factors = reduced.num, reduced.den_factors
 
     # -- constructors ------------------------------------------------------
 
@@ -408,7 +404,7 @@ class RationalFunction:
             if e > 0:
                 num = num * Poly.x_minus(a) ** e
             elif e < 0:
-                den[Fraction(a)] = -e
+                den[a] = -e
         return cls(num, den)
 
     # -- views ---------------------------------------------------------------
@@ -436,56 +432,59 @@ class RationalFunction:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: RationalFunction) -> RationalFunction:
-        da, db = dict(self.den_factors), dict(other.den_factors)
-        common = {r: max(da.get(r, 0), db.get(r, 0)) for r in {*da, *db}}
-        ca = expand_factors(_normalize_factors((r, m - da.get(r, 0)) for r, m in common.items()))
-        cb = expand_factors(_normalize_factors((r, m - db.get(r, 0)) for r, m in common.items()))
-        return RationalFunction(self.num * ca + other.num * cb, common)
+        a, b = self.den_factors, other.den_factors
+        if a == b:
+            return _reduced(self.num + other.num, a)
+        merged = tuple(_zip_factors(a, b))
+        ca = expand_factors(tuple((r, n - m) for r, m, n in merged if n > m))
+        cb = expand_factors(tuple((r, m - n) for r, m, n in merged if m > n))
+        common = [(r, max(m, n)) for r, m, n in merged]
+        return _reduced(self.num * ca + other.num * cb, common)
 
     def __neg__(self) -> RationalFunction:
-        return RationalFunction(-self.num, self.den_factors)
+        return _raw_rf(-self.num, self.den_factors)
 
     def __sub__(self, other: RationalFunction) -> RationalFunction:
         return self + (-other)
 
     def __mul__(self, other: RationalFunction) -> RationalFunction:
-        if self.is_zero() or other.is_zero():
-            return RationalFunction(Poly(()))
-        return RationalFunction(self.num * other.num, [*self.den_factors, *other.den_factors])
+        poles = [(r, m + n) for r, m, n in _zip_factors(self.den_factors, other.den_factors)]
+        return _reduced(self.num * other.num, poles)
 
     def inverse(self) -> RationalFunction:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         scalar = self.num[self.num.degree()]
-        return RationalFunction(
-            expand_factors(self.den_factors).scale(1 / scalar), rational_roots(self.num)
-        )
+        num = expand_factors(self.den_factors).scale(1 / scalar)
+        return _raw_rf(num, tuple(sorted(rational_roots(self.num))))
 
     def __truediv__(self, other: RationalFunction) -> RationalFunction:
         return self * other.inverse()
 
     def scale(self, a: Rational) -> RationalFunction:
-        if Fraction(a) == 0:
-            return RationalFunction(Poly(()))
-        return RationalFunction(self.num.scale(a), self.den_factors)
+        if not a:
+            return _ZERO_RF
+        return _raw_rf(self.num.scale(a), self.den_factors)
 
     def __pow__(self, n: int) -> RationalFunction:
         if n < 0:
             return self.inverse() ** (-n)
         if n == 0:
             return RationalFunction.const(1)
-        return RationalFunction(self.num**n, {r: m * n for r, m in self.den_factors})
+        return _raw_rf(self.num**n, tuple((r, m * n) for r, m in self.den_factors))
 
     def derivative(self) -> RationalFunction:
         """(P/D)' = (P' D0 - P sum_i m_i D0/(x-r_i)) / D0 prod (x-r_i)^(m_i+1)
-        computed with D0 = prod (x - r_i) squarefree."""
-        if not self.den_factors:
-            return RationalFunction(self.num.derivative())
-        d0 = expand_factors(_normalize_factors((r, 1) for r, _ in self.den_factors))
+        computed with D0 = prod (x - r_i) squarefree.
+
+        Reduced as built: at r_i the numerator is
+        -m_i P(r_i) prod_{j != i} (r_i - r_j), which is not zero.
+        """
+        d0 = expand_factors(tuple((r, 1) for r, _ in self.den_factors))
         acc = self.num.derivative() * d0
         for r, m in self.den_factors:
             acc = acc - self.num.scale(m) * d0.synth_div(r)[0]
-        return RationalFunction(acc, _normalize_factors((r, m + 1) for r, m in self.den_factors))
+        return _raw_rf(acc, tuple((r, m + 1) for r, m in self.den_factors))
 
     def eval(self, x: Rational) -> Fraction:
         den = Fraction(1)
@@ -510,19 +509,35 @@ class RationalFunction:
             out[r] = out.get(r, 0) - m
         return {a: e for a, e in out.items() if e}
 
-    def support(self) -> set[Fraction]:
-        return set(self.divisor())
+
+def _raw_rf(num: Poly, den_factors: Factors) -> RationalFunction:
+    """A function from a reduced num and sorted den_factors, kept as given."""
+    out = object.__new__(RationalFunction)
+    out.num, out.den_factors = num, den_factors
+    return out
+
+
+def _reduced(num: Poly, factors: Iterable[tuple[Fraction, int]]) -> RationalFunction:
+    """num over the sorted factors, each (x - r) cancelled while num(r) = 0."""
+    if num.is_zero():
+        return _ZERO_RF
+    kept = []
+    for r, m in factors:
+        while m and num.is_root(r):
+            num, m = num.synth_div(r)[0], m - 1
+        if m:
+            kept.append((r, m))
+    return _raw_rf(num, tuple(kept))
+
+
+_ZERO_RF = _raw_rf(_ZERO, ())
 
 
 def dlog(u: RationalFunction) -> RationalFunction:
     """Logarithmic derivative u'/u = sum v_a/(x - a)."""
     if u.is_zero():
         raise ZeroDivisionError("dlog of zero")
-    div = u.divisor()
-    out = RationalFunction(Poly(()))
-    for a, e in div.items():
-        out = out + RationalFunction(Poly.const(e), {a: 1})
-    return out
+    return sum((RationalFunction(Poly.const(e), {a: 1}) for a, e in u.divisor().items()), _ZERO_RF)
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +607,7 @@ class MobiusMap:
 
     def act_x(self) -> RationalFunction:
         """The image of the coordinate function x."""
-        return RationalFunction(Poly.of(-self.b, self.d), Poly.of(self.a, -self.c))
+        return self.act_function(RationalFunction.x())
 
     def act_function(self, u: RationalFunction) -> RationalFunction:
         """Substitution action (g.u)(x) = u(g^{-1}.x).
@@ -601,8 +616,6 @@ class MobiusMap:
         ((d + rc) x - (b + ra)) / (-cx + a), so the factored denominator is
         preserved without any refactorisation.
         """
-        if u.is_zero():
-            return u
         num_g = Poly.of(-self.b, self.d)  # dx - b
         den_g = Poly.of(self.a, -self.c)  # -cx + a
         pn, en = u.num.compose_fractional(num_g, den_g)
@@ -626,7 +639,7 @@ class MobiusMap:
                 pn = pn.scale(Fraction(1, (-self.c) ** (-shift)))
             else:
                 pn = pn.scale(Fraction(1, self.a ** (-shift)))
-        return RationalFunction(pn.scale(scalar), _normalize_factors(new_den))
+        return _reduced(pn.scale(scalar), sorted(new_den))
 
     def act_partial_coefficient(self) -> RationalFunction:
         """g.(d/dx) = ((-cx + a)^2/det) d/dx; returns the coefficient."""
@@ -647,14 +660,6 @@ class FirstOrderOperator:
 
     def scale(self, a: Rational) -> FirstOrderOperator:
         return FirstOrderOperator(self.c1.scale(a), self.c0.scale(a))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FirstOrderOperator):
-            return NotImplemented
-        return self.c1 == other.c1 and self.c0 == other.c0
-
-    def __hash__(self):
-        return hash((self.c1, self.c0))
 
 
 def delta_poly(points: Iterable[Rational]) -> Poly:

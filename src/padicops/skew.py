@@ -40,7 +40,7 @@ def _rf(a) -> RF:
     if isinstance(a, RF):
         return a
     if isinstance(a, Poly):
-        return RF(a, Poly.of(1))
+        return RF(a)
     return RF.const(a)
 
 

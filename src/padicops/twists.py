@@ -56,7 +56,7 @@ def h_sequence(u: RF, d: int, depth: int, p: int | None = None) -> TwistData:
 def h_closed_form_monomial(alpha, k: int, d: int, n: int) -> RF:
     """h[n] for u = (x - alpha)^k: binom(-k/d, n) (x - alpha)^(-n)."""
     c = binom_rational(Fraction(-k, d), n)
-    return RF(Poly.of(1), Poly.x_minus(alpha) ** n).scale(c)
+    return RF(Poly.of(1), {alpha: n}).scale(c)
 
 
 def theta_apply(tw: TwistData, q: SkewLaurentSeries) -> SkewLaurentSeries:
@@ -179,7 +179,7 @@ def in_group_of_radius(g: MobiusMap, p: int, r_exp: Fraction | int) -> bool:
     return True
 
 
-def beta_build(g: MobiusMap, depth: int, p: int) -> SkewLaurentSeries:
+def beta_build(g: MobiusMap, depth: int) -> SkewLaurentSeries:
     """Truncation of beta(g) = sum_n (g.x - x)^n D^[n] at order `depth`.
 
     Omitted order n carries reference valuation at least
@@ -206,9 +206,9 @@ def beta_tail_valuation(g: MobiusMap, depth: int, p: int) -> Fraction | float:
     return min((n * vw - vp_factorial(n, p)) for n in range(depth + 1, depth + 40))
 
 
-def beta_substitution_exact(g: MobiusMap, m_max: int, p: int) -> bool:
+def beta_substitution_exact(g: MobiusMap, m_max: int) -> bool:
     """beta(g) truncated at order m_max sends x^m to (g.x)^m exactly, m <= m_max."""
-    b = beta_build(g, m_max, p)
+    b = beta_build(g, m_max)
     x, gx = RF.x(), g.act_x()
     return all(apply_to_function(b, x**m) == gx**m for m in range(m_max + 1))
 
@@ -217,8 +217,8 @@ def beta_homomorphism_ok(g: MobiusMap, h: MobiusMap, depth: int, p: int) -> bool
     """beta(g) * beta(h) matches beta(gh) through order depth, within the tail
     budget of the two truncated factors."""
     tau = min(beta_tail_valuation(g, depth, p), beta_tail_valuation(h, depth, p))
-    prod = star(beta_build(g, depth, p), beta_build(h, depth, p))
-    bgh = beta_build(g * h, depth, p)
+    prod = star(beta_build(g, depth), beta_build(h, depth))
+    bgh = beta_build(g * h, depth)
     for k in range(depth + 1):
         diff = prod[k] - bgh[k]
         if not diff.is_zero() and gauss_valuation(diff, p) < tau:
@@ -263,7 +263,7 @@ def cocycle_identities(u: RF, v: RF, d: int, g: MobiusMap, depth: int, p: int) -
     power_ok = diff.is_zero() or gauss_valuation(diff, p) >= tau
     diff = cocycle(u * v, d, g, depth, p) - cu * cocycle(v, d, g, depth, p)
     mult_ok = diff.is_zero() or gauss_valuation(diff, p) >= tau
-    bg = beta_build(g, depth, p)
+    bg = beta_build(g, depth)
     lhs = theta_apply(tw, bg)
     twist_ok = all(lhs[a] == bg[a] * cocycle_from_tw(tw, g, depth - a) for a in range(depth + 1))
     return power_ok, mult_ok, twist_ok

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 from padicops.cheeses import circle_valuation, gauss_valuation
+from padicops.padics import vp_rational
 from padicops.ratfun import Poly, RationalFunction
 
 RF = RationalFunction
@@ -19,6 +20,27 @@ class TestSupNorm:
             )
             cv = lambda w: circle_valuation(w, 3, F(1, 2), F(-1))
             assert cv(u * v) == cv(u) + cv(v)
+
+    def test_pole_part_matches_the_expanded_denominator(self):
+        # circle_valuation reads each pole factor off den_factors; the
+        # reference shifts the expanded denominator to the centre instead
+        def poly_valuation(poly, p, center, e):
+            shifted = poly.shift(F(center))
+            return min(vp_rational(c, p) - i * e for i, c in enumerate(shifted.coeffs) if c)
+
+        rng = random.Random(11)
+        for _ in range(80):
+            p = rng.choice([3, 5])
+            poles = {F(rng.randrange(-30, 31), rng.choice([1, 2, p])): rng.randrange(1, 4)
+                     for _ in range(rng.randrange(1, 4))}
+            zeros = {F(rng.randrange(-30, 31), rng.choice([1, p])): rng.randrange(1, 3)
+                     for _ in range(rng.randrange(0, 3))}
+            f = RF.from_factors(F(rng.randrange(1, 50), rng.randrange(1, 50)),
+                                {**zeros, **{r: -m for r, m in poles.items()}})
+            for center in (next(iter(poles)), F(rng.randrange(-30, 31), rng.choice([1, p])), 0):
+                e = F(rng.randrange(-6, 7), rng.choice([1, 2, 3]))
+                want = poly_valuation(f.num, p, center, e) - poly_valuation(f.den, p, center, e)
+                assert circle_valuation(f, p, center, e) == want, (f, p, center, e)
 
     def test_gauss_valuation(self):
         assert gauss_valuation(RF(Poly.of(3, 1, 9)), 3) == 0

@@ -18,7 +18,6 @@ from padicops.cli import (
     ConfigError,
     Report,
     RunConfig,
-    build_config,
     emit,
     fmt_val,
     is_prime,

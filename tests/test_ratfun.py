@@ -199,6 +199,20 @@ class TestIntegerKernel:
                 assert r == q and hash(r) == hash(q) and (r.num, r.den) == (q.num, q.den)
 
 
+small_roots = st.fractions(min_value=-6, max_value=6, max_denominator=3)
+
+
+@st.composite
+def functions_with_poles(draw):
+    """c prod (x - z)^e / prod (x - r)^m through the constructor, which
+    cancels; the numerator splits over Q, so inverse() works."""
+    num = Poly.const(draw(small_fracs.filter(bool)))
+    for z, e in draw(st.dictionaries(small_roots, st.integers(1, 2), max_size=2)).items():
+        num = num * Poly.x_minus(z) ** e
+    poles = draw(st.dictionaries(small_roots, st.integers(1, 3), min_size=1, max_size=3))
+    return RF(num, poles)
+
+
 class TestRationalFunction:
     def test_divisor_examples(self):
         u = RF.from_factors(1, {0: 3, 1: -1})
@@ -230,6 +244,18 @@ class TestRationalFunction:
                 continue
             assert (u + v).eval(x0) == u.eval(x0) + v.eval(x0)
             assert (u * v).eval(x0) == u.eval(x0) * v.eval(x0)
+
+    @given(u=functions_with_poles().filter(lambda u: u.den_factors), c=small_fracs)
+    @settings(max_examples=100, deadline=None)
+    def test_operations_that_cannot_cancel_return_reduced_results(self, u, c):
+        # -u, scale, powers, the derivative and the inverse keep the factors
+        # they build: each result must already be what the constructor,
+        # which cancels, makes of its numerator and poles
+        for r in (-u, u.scale(c), *(u**n for n in range(4)), u.derivative(), u.inverse()):
+            roots = [a for a, _ in r.den_factors]
+            assert roots == sorted(set(roots))
+            assert all(m > 0 for _, m in r.den_factors)
+            assert r == RF(r.num, dict(r.den_factors))
 
     def test_derivative_quotient_rule(self):
         u = RF.from_factors(1, {1: 2, -1: -1})  # (x-1)^2/(x+1)
@@ -374,8 +400,8 @@ class TestRelator:
             u = RF.from_factors(
                 F(5), {rng.randrange(-3, 4): rng.choice([1, 2]), rng.randrange(4, 7): -3}
             )
-            S = u.support()
+            S = set(u.divisor())
             lhs = act_op(g, relator(S, u, 7))
             gu = g.act_function(u)
-            rhs = relator(gu.support(), gu, 7).scale(g.varrho() ** (1 - len(S)))
+            rhs = relator(set(gu.divisor()), gu, 7).scale(g.varrho() ** (1 - len(S)))
             assert lhs == rhs

@@ -1,5 +1,6 @@
 """The library surface: every definition in src/padicops is reached from
-outside the tests, and no module imports a name it never uses.
+outside the tests, and no module of src/padicops or tests/ imports a name it
+never uses.
 
 Module-level code in src/padicops, and all of scripts/ and perfbench/, is
 the root.  A definition is reached when reached code names it; the body of a
@@ -126,9 +127,14 @@ def unreached(root: Path = ROOT) -> list[str]:
 
 
 def unused_imports(root: Path = ROOT) -> list[str]:
+    """Imported names never used, except on a line marked `noqa: F401` (an
+    import made for its side effect)."""
     out = []
-    for path in sorted((root / "src" / "padicops").glob("*.py")):
-        tree = ast.parse(path.read_text())
+    paths = [*(root / "src" / "padicops").glob("*.py"), *(root / "tests").glob("*.py")]
+    for path in sorted(paths):
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Assign) and any(
@@ -138,11 +144,13 @@ def unused_imports(root: Path = ROOT) -> list[str]:
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and "noqa: F401" in lines[node.lineno - 1]:
+                continue
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 for alias in node.names:
                     bound = alias.asname or alias.name.split(".")[0]
                     if bound not in used:
-                        out.append(f"{path.stem}: {bound} (line {node.lineno})")
+                        out.append(f"{path.relative_to(root)}: {bound} (line {node.lineno})")
     return out
 
 
