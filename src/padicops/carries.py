@@ -22,6 +22,10 @@ from .padics import (
 )
 
 
+class CheckFailed(Exception):
+    """A certificate check came out false: a `fail` verdict, not a usage error."""
+
+
 def _digit_stream(lam: Fraction, p: int):
     """Infinite base-p digit generator of a rational p-adic integer."""
     num, den = lam.numerator, lam.denominator
@@ -53,7 +57,7 @@ class CarryProfile:
         if self.L == INF:
             return INF
         if len(self.gammas) < self.L:
-            raise AssertionError(f"{len(self.gammas)} carry bits resolved, fewer than L = {self.L}")
+            raise CheckFailed(f"{len(self.gammas)} carry bits resolved, fewer than L = {self.L}")
         return sum(self.gammas)
 
 
@@ -187,10 +191,10 @@ def special_index(p: int, f: int, k: int, N: int) -> SpecialIndex:
         tower += q ** (M + 1)
     s = n - (tower - q ** (M + 1))
     if not 0 <= s < q ** (M + 1):
-        raise AssertionError(f"s = {s} outside 0..q^(M+1) - 1 for M = {M}")
+        raise CheckFailed(f"s = {s} outside 0..q^(M+1) - 1 for M = {M}")
     got = expected_M(k, q, N)
     if M != got:
-        raise AssertionError(f"M={M} disagrees with the case table value {got}")
+        raise CheckFailed(f"M={M} disagrees with the case table value {got}")
     return SpecialIndex(p, f, q, k, q + 1, N, n, M, s)
 
 
@@ -340,15 +344,11 @@ def qexp_check(idx: SpecialIndex) -> QExpReport:
 # ---------------------------------------------------------------------------
 
 
-class CheckFailed(Exception):
-    """A certificate check came out false: a `fail` verdict, not a usage error."""
-
-
 def dominant_term_valuation(idx: SpecialIndex) -> int:
     """Valuation of the r = s summand: v_p(binom(lam, s)) - (M+1)f."""
     v = vp_binom_lower(idx.lam, idx.s, idx.p)
     if v == INF:
-        raise AssertionError(f"binom(lam, {idx.s}) vanishes: the dominant term is zero")
+        raise CheckFailed(f"binom(lam, {idx.s}) vanishes: the dominant term is zero")
     return int(v) - (idx.M + 1) * idx.f
 
 
@@ -409,10 +409,12 @@ class SumReport:
 MAX_N_FOR_Q = {2: 12, 3: 10}  # desk-scale caps; larger N rejected
 
 
-def _check_scale(idx: SpecialIndex) -> None:
-    cap = MAX_N_FOR_Q.get(idx.q, 8)
-    if idx.N > cap:
-        raise ValueError(f"N={idx.N} exceeds the desk-scale cap {cap} for q={idx.q}: the sum has {idx.n + 1} terms")
+def check_scale(q: int, N: int) -> None:
+    """Reject a level past the desk-scale cap; cheap, so it can run before
+    `special_index`, whose work grows with N."""
+    cap = MAX_N_FOR_Q.get(q, 8)
+    if N > cap:
+        raise ValueError(f"N={N} exceeds the desk-scale cap {cap} for q={q}")
 
 
 _SUM_MEMO: dict[tuple[SpecialIndex, int], SumReport] = {}
@@ -449,7 +451,7 @@ def sum_estimate(
 
 
 def _sum_estimate(idx: SpecialIndex, prec: int, progress) -> SumReport:
-    _check_scale(idx)
+    check_scale(idx.q, idx.N)
     p, n, c, mod = idx.p, idx.n, idx.q - 1, idx.p**prec
     ln, ld = idx.lam.numerator, idx.lam.denominator
     an, ad = idx.alpha.numerator, idx.alpha.denominator

@@ -1,13 +1,17 @@
 """Configuration-driven verification runner.
 
 Every subcommand evaluates one family of identities and emits a
-machine-readable table (JSON or CSV) with one verdict line.  Valuations are
-printed as exact rationals, never floats.  Identical inputs produce
-byte-identical output for a fixed seed; timing is only included on request
-so that the default output stays deterministic.
+machine-readable table (JSON or CSV) of rows with one verdict line, derived
+from the rows: `pass` exactly when there are rows and every row is ok.
+Valuations are printed as exact rationals, never floats.  Identical inputs
+produce byte-identical output for a fixed seed; timing is only included on
+request so that the default output stays deterministic.
 
-Exit codes: 0 all checks pass, 1 a mathematical check failed,
-2 usage/configuration error, 3 precision exhausted.
+Usage is decided by `RunConfig.validate` before any math runs.  Exit codes:
+0 every check passes; 1 a check failed, or a command raised ValueError,
+ZeroDivisionError or CheckFailed, which becomes its one-row `fail` report;
+2 an input rejected before any math runs; 3 precision exhausted, after the
+reports finished so far are written.
 """
 
 from __future__ import annotations
@@ -91,9 +95,15 @@ class RunConfig:
     def q(self) -> int:
         return self.p**self.f
 
-    def validate(self, level_data: bool = True) -> None:
-        """Basic checks always; the (k, d, N) coupling only for commands that
-        actually consume the dominant-index data."""
+    @property
+    def dwork_qs(self) -> tuple[int, ...]:
+        """The projector parameters that dwork-check runs."""
+        return (self.dwork_q,) if self.dwork_q is not None else (2, 3)
+
+    def validate(self, level_data: bool = True, family_data: bool = True) -> None:
+        """Basic checks always; the family (p, q, k, d) unless `family_data`
+        is false, and with it each level of n_list if `level_data`.  With no
+        argument this checks everything `all` reads."""
         if self.p >= PRIME_BOUND:
             raise ConfigError(f"p = {self.p} is too large: primality is certified only below {PRIME_BOUND}")
         if not is_prime(self.p):
@@ -102,20 +112,30 @@ class RunConfig:
             raise ConfigError(f"unknown format {self.fmt!r}")
         if self.d % self.p == 0:
             raise ConfigError(f"d = {self.d} must be coprime to p = {self.p}")
-        if not level_data:
+        for name in ("f", "prec", "order", "cases", "k_neg"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} = {getattr(self, name)} must be at least 1")
+        if not self.n_list:
+            raise ConfigError("the level list n_list is empty")
+        if self.dwork_q is not None and self.dwork_q < 2:
+            raise ConfigError(f"dwork_q = {self.dwork_q} must be at least 2")
+        for q in self.dwork_qs:
+            if self.dwork_trunc < 3 * q:
+                raise ConfigError(f"dwork_trunc = {self.dwork_trunc} must be at least 3q = {3 * q} for q = {q}")
+        if not family_data:
             return
         try:
             fam = self.family
         except ValueError as e:
             raise ConfigError(str(e)) from None
-        want = carries.required_parity(fam.k_norm, fam.q)
-        for N in self.n_list:
-            if N % 2 != want:
-                parity = "odd" if want else "even"
-                raise ConfigError(
-                    f"N = {N} violates the parity rule: for k = {fam.k_norm}, q = {fam.q} "
-                    f"the level N must be {parity}"
-                )
+        for N in self.n_list if level_data else ():
+            try:
+                carries.check_scale(fam.q, N)
+                fam.index(N)
+            except carries.CheckFailed:
+                continue  # a failed certificate, not a usage error: the command reports it
+            except ValueError as e:
+                raise ConfigError(str(e)) from None
 
     @property
     def family(self) -> carries.Family:
@@ -154,6 +174,7 @@ def parse_config_file(path: str) -> dict:
 
 
 LEVEL_DATA_COMMANDS = {"sum-estimate", "qexp-check", "zeta-valuations", "all"}
+FAMILY_DATA_COMMANDS = LEVEL_DATA_COMMANDS | {"ode-check"}
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -168,14 +189,17 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         "dwork_q": args.q, "dwork_trunc": args.K,
     }
     if args.N:
-        overrides["n_list"] = [int(s) for s in args.N.split(",")]
+        try:
+            overrides["n_list"] = [int(s) for s in args.N.split(",")]
+        except ValueError:
+            raise ConfigError(f"--N {args.N!r} is not a comma-separated list of integers") from None
     data.update({k: v for k, v in overrides.items() if v is not None})
     known = {f.name for f in fields(RunConfig)}
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     cfg = RunConfig(**data)
-    cfg.validate(level_data=args.command in LEVEL_DATA_COMMANDS)
+    cfg.validate(args.command in LEVEL_DATA_COMMANDS, args.command in FAMILY_DATA_COMMANDS)
     return cfg
 
 
@@ -204,12 +228,15 @@ class Report:
     claim: str
     params: dict
     rows: list[dict]
-    verdict: str
     runtime_ms: int | None = None
 
     @property
     def ok(self) -> bool:
-        return self.verdict == "pass"
+        return bool(self.rows) and all(row.get("ok") for row in self.rows)
+
+    @property
+    def verdict(self) -> str:
+        return "pass" if self.ok else "fail"
 
 
 def emit(report: Report, fmt: str) -> str:
@@ -254,36 +281,34 @@ def cmd_kummer_table(cfg: RunConfig) -> Report:
     p = cfg.p
     rng = random.Random(cfg.seed)
     rows = []
-    ok = True
     for _ in range(cfg.cases):
         lam = rng.randrange(0, 10**4)
         n = rng.randrange(0, 10**4)
         v = carries.vp_binom_kummer(lam, n, p)
         wv = vp_factorial(lam + n, p) - vp_factorial(lam, p) - vp_factorial(n, p)
-        good = v == wv
-        ok &= good
-        rows.append({"lam": str(lam), "n": n, "v_carry": fmt_val(v), "v_oracle": fmt_val(wv), "ok": good})
+        rows.append({"lam": str(lam), "n": n, "v_carry": fmt_val(v), "v_oracle": fmt_val(wv), "ok": v == wv})
     for _ in range(max(cfg.cases // 3, 10)):
         den = rng.choice([t for t in range(2, 30) if t % p != 0])
         lam = Fraction(rng.randrange(-400, 400), den)
         n = rng.randrange(0, 120)
         v = carries.vp_binom_kummer(lam, n, p)
         wv = vp_rational(binom_rational(lam + n, n), p)
-        good = v == wv
-        ok &= good
-        rows.append({"lam": str(lam), "n": n, "v_carry": fmt_val(v), "v_oracle": fmt_val(wv), "ok": good})
+        rows.append({"lam": str(lam), "n": n, "v_carry": fmt_val(v), "v_oracle": fmt_val(wv), "ok": v == wv})
+    # only the first 50 rows are printed, so the summary row carries the verdict
+    fails = sum(not row["ok"] for row in rows)
+    summary = {"lam": "...", "n": "", "v_carry": "", "v_oracle": "", "ok": f"{len(rows)} cases"}
+    if fails:
+        summary.update(ok=False, failures=fails)
     return Report(
         "kummer-table",
         "the valuation of a binomial coefficient equals the carry count of the base-p addition",
         {"p": p, "cases": cfg.cases, "seed": cfg.seed},
-        rows[:50] + [{"lam": "...", "n": "", "v_carry": "", "v_oracle": "", "ok": f"{len(rows)} cases"}],
-        "pass" if ok else "fail",
+        rows[:50] + [summary],
     )
 
 
 def cmd_sum_estimate(cfg: RunConfig) -> Report:
     rows = []
-    ok = True
     prev = None
     fam = cfg.family
     for N in cfg.n_list:
@@ -300,31 +325,26 @@ def cmd_sum_estimate(cfg: RunConfig) -> Report:
             unique = False
         decreasing = prev is None or rep.v_sum < prev
         prev = rep.v_sum
-        good = rep.ok and unique and decreasing
-        ok &= good
         rows.append({
             "N": N, "n": idx.n, "M": idx.M, "s": idx.s,
             "v_sum": fmt_val(rep.v_sum), "v_dominant": fmt_val(rep.v_dominant),
             "bound": fmt_val(rep.bound), "argmin_unique": unique,
-            "strictly_decreasing": decreasing, "ok": good,
+            "strictly_decreasing": decreasing, "ok": rep.ok and unique and decreasing,
         })
     return Report(
         "sum-estimate",
         "the coefficient sum's valuation equals its dominant term's and decreases without bound",
         {"p": cfg.p, "f": cfg.f, "k": cfg.k, "d": cfg.d, "prec": cfg.prec},
         rows,
-        "pass" if ok else "fail",
     )
 
 
 def cmd_qexp_check(cfg: RunConfig) -> Report:
     rows = []
-    ok = True
     fam = cfg.family
     joiner = "" if fam.q < 10 else "."
     for N in cfg.n_list:
         rep = carries.qexp_check(fam.index(N))
-        ok &= rep.ok
         rows.append({
             "N": N, "case": rep.case,
             "s_digits": joiner.join(map(str, rep.s_digits)),
@@ -337,33 +357,28 @@ def cmd_qexp_check(cfg: RunConfig) -> Report:
         "base-q digit patterns of the dominant index, carry cutoff, and unit companion binomial",
         {"p": cfg.p, "f": cfg.f, "k": cfg.k, "d": cfg.d},
         rows,
-        "pass" if ok else "fail",
     )
 
 
 def cmd_zeta_valuations(cfg: RunConfig) -> Report:
     rows = []
-    ok = True
     profile = zeta.phi_valuation_profile(cfg.p, cfg.f, cfg.k, cfg.d, cfg.n_list, cfg.prec)
     prev = None
     for row in profile:
         decreasing = prev is None or row.report.v_sum < prev
         prev = row.report.v_sum
-        good = row.report.ok and decreasing and row.cross_checked
-        ok &= good
         rows.append({
             "N": row.idx.N, "n": row.idx.n,
             "v_sum": fmt_val(row.report.v_sum), "bound": fmt_val(row.report.bound),
             "series_value": fmt_padic(row.series_value),
             "agreement_digits": row.agreement_digits,
-            "ok": good,
+            "ok": row.report.ok and decreasing and row.cross_checked,
         })
     return Report(
         "zeta-valuations",
         "series assembly and carry combinatorics agree on the solution coefficients, whose valuations blow up",
         {"p": cfg.p, "f": cfg.f, "k": cfg.k, "d": cfg.d, "prec": cfg.prec},
         rows,
-        "pass" if ok else "fail",
     )
 
 
@@ -395,13 +410,11 @@ def cmd_ode_check(cfg: RunConfig) -> Report:
         "the closed-form series is the unique formal solution of the twisted equation",
         {"p": p, "q": q, "k": k, "d": d, "order": order},
         rows,
-        "pass" if all(row["ok"] for row in rows) else "fail",
     )
 
 
 def cmd_micro_inverse(cfg: RunConfig) -> Report:
     rows = []
-    ok = True
     x = ratfun.RationalFunction.x()
     for k in (1, 2, 3):
         for d in (2, 3):
@@ -413,39 +426,32 @@ def cmd_micro_inverse(cfg: RunConfig) -> Report:
             min1 = min((v for _, v in r1.residuals), default=None)
             min1b = min((v for _, v in r1b.residuals), default=None)
             grow = min1 is None or (min1b is not None and min1b > min1)
-            good = r1.ok and r2.ok and r1b.ok and r2b.ok and grow
-            ok &= good
             rows.append({
                 "u": f"x^{k}", "d": d, "window": cfg.k_neg,
                 "min_residual": fmt_val(min1) if min1 is not None else "",
                 "threshold": fmt_val(r1.threshold),
                 "min_residual_doubled": fmt_val(min1b) if min1b is not None else "",
                 "threshold_doubled": fmt_val(r1b.threshold),
-                "both_sides": r1.ok and r2.ok, "ok": good,
+                "both_sides": r1.ok and r2.ok, "ok": r1.ok and r2.ok and r1b.ok and r2b.ok and grow,
             })
     return Report(
         "micro-inverse",
         "the truncated Laurent series inverts the twisted derivation within the tail budget on both sides",
         {"p": cfg.p, "k_neg": cfg.k_neg},
         rows,
-        "pass" if ok else "fail",
     )
 
 
 def cmd_dwork_check(cfg: RunConfig) -> Report:
     rows = []
-    ok = True
     trunc = cfg.dwork_trunc
-    qs = (cfg.dwork_q,) if cfg.dwork_q else (2, 3)
-    for q in qs:
+    for q in cfg.dwork_qs:
         rep = dwork.dwork_identities(q, trunc)
-        ok &= rep.ok
         rows.append({"q": q, "trunc": trunc, "check": "idempotent_and_partition",
                      "orders": f"{rep.checked_orders[0]}..{rep.checked_orders[-1]}",
                      "failures": len(rep.failures), "ok": rep.ok})
         for lam, i in [(Fraction(1, 2), 1), (Fraction(0), 0), (Fraction(2, 3), q - 1)]:
             frep = dwork.frobenius_relation(q, lam, i, trunc)
-            ok &= frep.ok
             rows.append({"q": q, "trunc": trunc, "check": f"descent_relation(lam={lam},i={i})",
                          "orders": f"{frep.checked_orders[0]}..{frep.checked_orders[-1]}",
                          "failures": len(frep.failures), "ok": frep.ok})
@@ -454,18 +460,14 @@ def cmd_dwork_check(cfg: RunConfig) -> Report:
         "projector idempotence, partition of unity, and the descent operator relation, all with exact zeros",
         {"trunc": trunc},
         rows,
-        "pass" if ok else "fail",
     )
 
 
 def cmd_beta_check(cfg: RunConfig) -> Report:
     p = cfg.p
     rng = random.Random(cfg.seed)
-    rows = []
-    ok = True
-    good_tr = twists.beta_substitution_exact(ratfun.MobiusMap.translation(p), 30)
-    ok &= good_tr
-    rows.append({"check": "translation_substitution_exact", "range": "m<=30", "ok": good_tr})
+    rows = [{"check": "translation_substitution_exact", "range": "m<=30",
+             "ok": twists.beta_substitution_exact(ratfun.MobiusMap.translation(p), 30)}]
     # sampled homomorphism beta(gh) = beta(g) beta(h) within tail bounds
     depth = 8
     samples = 25
@@ -474,7 +476,6 @@ def cmd_beta_check(cfg: RunConfig) -> Report:
         g1 = _random_group_element(rng, p)
         g2 = _random_group_element(rng, p)
         fails += not twists.beta_homomorphism_ok(g1, g2, depth, p)
-    ok &= fails == 0
     rows.append({"check": "substitution_homomorphism", "samples": samples, "depth": depth,
                  "failures": fails, "ok": fails == 0})
     return Report(
@@ -482,7 +483,6 @@ def cmd_beta_check(cfg: RunConfig) -> Report:
         "substitution operators realise the Mobius action on functions and multiply like the group",
         {"p": p, "seed": cfg.seed},
         rows,
-        "pass" if ok else "fail",
     )
 
 
@@ -517,7 +517,6 @@ def cmd_cocycle_check(cfg: RunConfig) -> Report:
         fails_power += not power_ok
         fails_mult += not mult_ok
         fails_theta += not theta_ok
-    ok = fails_power == fails_mult == fails_theta == 0
     rows = [
         {"check": "dth_power_is_u_over_gu", "samples": samples, "failures": fails_power, "ok": fails_power == 0},
         {"check": "multiplicative_in_u", "samples": samples, "failures": fails_mult, "ok": fails_mult == 0},
@@ -529,14 +528,12 @@ def cmd_cocycle_check(cfg: RunConfig) -> Report:
         "the unit pairing of a twist with a substitution operator is a multiplicative cocycle",
         {"p": p, "d": cfg.d, "seed": cfg.seed},
         rows,
-        "pass" if ok else "fail",
     )
 
 
 def cmd_star_props(cfg: RunConfig) -> Report:
     rng = random.Random(cfg.seed)
     rows = []
-    ok = True
 
     def rand_op(maxdeg=4, polydeg=2, lo=0):
         return skew.SkewLaurentSeries.of({
@@ -547,31 +544,21 @@ def cmd_star_props(cfg: RunConfig) -> Report:
     fails = 0
     for _ in range(cfg.cases):
         u, v, w = rand_op(), rand_op(), rand_op()
-        if skew.star(skew.star(u, v), w) != skew.star(u, skew.star(v, w)):
-            fails += 1
-    ok &= fails == 0
+        fails += skew.star(skew.star(u, v), w) != skew.star(u, skew.star(v, w))
     rows.append({"check": "associativity", "cases": cfg.cases, "failures": fails, "ok": fails == 0})
 
     fails = 0
     for _ in range(cfg.cases):
         u = rand_op()
-        if skew.transpose(skew.transpose(u)) != u:
-            fails += 1
+        fails += skew.transpose(skew.transpose(u)) != u
         v = rand_op()
-        if skew.transpose(skew.star(u, v)) != skew.star(skew.transpose(v), skew.transpose(u)):
-            fails += 1
-    ok &= fails == 0
+        fails += skew.transpose(skew.star(u, v)) != skew.star(skew.transpose(v), skew.transpose(u))
     rows.append({"check": "transpose_involution_and_antihom", "cases": cfg.cases, "failures": fails,
                  "ok": fails == 0})
 
-    fails = 0
     m = 3
-    for n in range(1, 10**4, 97):
-        for nn in (n, -n):
-            e = skew.epsilon_valuation(nn, m, cfg.p)
-            if not -m <= e <= 0:
-                fails += 1
-    ok &= fails == 0
+    fails = sum(not -m <= skew.epsilon_valuation(nn, m, cfg.p) <= 0
+                for n in range(1, 10**4, 97) for nn in (n, -n))
     rows.append({"check": "level_scaling_valuations_in_minus_m_zero", "m": m, "failures": fails,
                  "ok": fails == 0})
 
@@ -581,9 +568,7 @@ def cmd_star_props(cfg: RunConfig) -> Report:
         # s = n/(p-1) - v_p(n!) = D/(p-1), with D the base-p digit sum of n
         # (Legendre); 0 <= s <= 1 + log_p(n) in integers
         D = n - (p - 1) * vp_factorial(n, p)
-        if not (0 <= D and (D <= p - 1 or p ** (D - (p - 1)) <= n ** (p - 1))):
-            fails += 1
-    ok &= fails == 0
+        fails += not (0 <= D and (D <= p - 1 or p ** (D - (p - 1)) <= n ** (p - 1)))
     rows.append({"check": "factorial_valuation_window", "range": "n<=1e5", "failures": fails,
                  "ok": fails == 0})
     return Report(
@@ -591,7 +576,6 @@ def cmd_star_props(cfg: RunConfig) -> Report:
         "star product associativity, transpose involution, level-basis scaling bounds",
         {"p": cfg.p, "seed": cfg.seed, "cases": cfg.cases},
         rows,
-        "pass" if ok else "fail",
     )
 
 
@@ -647,30 +631,28 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_USAGE
 
-    names = list(COMMANDS) if args.command == "all" else [args.command]
-    out_parts = []
-    all_ok = True
-    try:
-        for name in names:
-            if args.command == "all":
-                print(f"running {name} ...", file=sys.stderr)
-            report = run_command(name, cfg)
-            all_ok &= report.ok
-            out_parts.append(emit(report, cfg.fmt))
-    except PrecisionExhausted as e:
-        print(f"precision exhausted: {e}", file=sys.stderr)
-        return EXIT_PRECISION
-    except (ConfigError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    reports, code = [], EXIT_OK
+    for name in list(COMMANDS) if args.command == "all" else [args.command]:
+        if args.command == "all":
+            print(f"running {name} ...", file=sys.stderr)
+        try:
+            reports.append(run_command(name, cfg))
+        except PrecisionExhausted as e:
+            print(f"precision exhausted: {e}", file=sys.stderr)
+            code = EXIT_PRECISION
+            break  # the reports finished so far are still written
+        except (ValueError, ZeroDivisionError, carries.CheckFailed) as e:
+            reason = f"{type(e).__name__}: {e}"
+            print(f"  {name}: {reason}", file=sys.stderr)
+            reports.append(Report(name, "the command runs to a verdict", {}, [{"error": reason, "ok": False}]))
 
-    text = "".join(out_parts)
+    text = "".join(emit(report, cfg.fmt) for report in reports)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return EXIT_OK if all_ok else EXIT_MATH
+    return EXIT_MATH if code == EXIT_OK and not all(report.ok for report in reports) else code
 
 
 if __name__ == "__main__":

@@ -372,8 +372,8 @@ class RationalFunction:
 
     `den_factors` is the sorted tuple ((r, m), ...), all m > 0, of the monic
     denominator, and num does not vanish at any pole.  Poles come in as a
-    root -> multiplicity map.  Only the constructor, `+`, `*` and
-    `MobiusMap.act_function` can meet a common factor, so only they cancel.
+    root -> multiplicity map.  Only the constructor, `+` and `*` can meet a
+    common factor, so only they cancel.
     Zeros are factored out of num when `divisor` or `inverse` needs them.
     """
 
@@ -639,7 +639,10 @@ class MobiusMap:
                 pn = pn.scale(Fraction(1, (-self.c) ** (-shift)))
             else:
                 pn = pn.scale(Fraction(1, self.a ** (-shift)))
-        return _reduced(pn.scale(scalar), sorted(new_den))
+        # nothing cancels: distinct poles have distinct images, and num is a
+        # nonzero multiple of num(r) at the image of r and of (det/c)^deg at
+        # a/c; the zero function has no poles and keeps its normal form
+        return _raw_rf(pn.scale(scalar), tuple(sorted(new_den)))
 
     def act_partial_coefficient(self) -> RationalFunction:
         """g.(d/dx) = ((-cx + a)^2/det) d/dx; returns the coefficient."""

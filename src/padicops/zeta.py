@@ -147,7 +147,7 @@ def _solve_recurrence(p: int, q: int, lam: Fraction, c: QSeries, order: int) -> 
     for n in range(order):
         den = n - q * lam
         if den == 0:
-            raise AssertionError(f"vanishing denominator at n = {n}: qk/d is an integer")
+            raise CheckFailed(f"vanishing denominator at n = {n}: qk/d is an integer")
         g.append(rhs[n + 1] / den)
     return QSeries(tuple(g)) * binomial_series(-lam, order, q - 1)
 
@@ -183,7 +183,7 @@ def convergence_margin(z: QSeries, p: int) -> Fraction:
             v = Fraction(vp_rational(c, p)) + j
             best = v if best is None else min(best, v)
     if best is None:
-        raise AssertionError("z has no nonzero coefficient")
+        raise CheckFailed("z has no nonzero coefficient")
     return best
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -7,11 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from padicops import carries
+from padicops import carries, twists
 from padicops.cli import (
     COMMANDS,
     EXIT_MATH,
     EXIT_OK,
+    EXIT_PRECISION,
     EXIT_USAGE,
     PRIME_BASES,
     PRIME_BOUND,
@@ -25,6 +27,7 @@ from padicops.cli import (
     parse_config_file,
     strong_probable_prime,
 )
+from padicops.padics import PrecisionExhausted
 from padicops.series import QSeries
 from fractions import Fraction as F
 
@@ -45,14 +48,15 @@ class TestFormatting:
         assert fmt_val(float("inf")) == "inf"
 
     def test_emit_json_empty_rows(self):
-        rep = Report("x", "c", {"p": 3}, [], "pass")
+        # the verdict is derived from the rows, and no rows is no evidence
+        rep = Report("x", "c", {"p": 3}, [])
         obj = json.loads(emit(rep, "json"))
-        assert obj["rows"] == [] and obj["verdict"] == "pass"
+        assert obj["rows"] == [] and obj["verdict"] == "fail"
 
     def test_runtime_excluded_by_default(self):
-        rep = Report("x", "c", {}, [], "pass")
+        rep = Report("x", "c", {}, [{"ok": True}])
         assert "runtime_ms" not in json.loads(emit(rep, "json"))
-        rep2 = Report("x", "c", {}, [], "pass", runtime_ms=12)
+        rep2 = Report("x", "c", {}, [{"ok": True}], runtime_ms=12)
         assert json.loads(emit(rep2, "json"))["runtime_ms"] == 12
         assert "runtime_ms" not in emit(rep, "csv")
         assert emit(rep2, "csv").endswith("# verdict: pass\n# runtime_ms: 12\n")
@@ -69,7 +73,7 @@ class TestFormatting:
 
     def test_csv_json_round_trip(self):
         rows = [{"a": 1, "b": "-3/2"}, {"a": 2, "b": "inf"}]
-        rep = Report("demo", "claim", {"p": 3}, rows, "pass")
+        rep = Report("demo", "claim", {"p": 3}, rows)
         csv_text = emit(rep, "csv")
         lines = [l for l in csv_text.splitlines() if not l.startswith("#")]
         header = lines[0].split(",")
@@ -272,6 +276,92 @@ def test_rejected_family_exits_2(command, extra, capsys):
         return
     assert code == EXIT_USAGE
     assert out == "" and "error" in err
+
+
+# one entry per usage rule of RunConfig.validate, at the default family
+# (p, f, k, d) = (3, 1, 1, 4); {empty} is a config file with n_list = []
+BAD_FLAGS = {
+    "N_above_the_cap": ["sum-estimate", "--N", "12"],
+    "N_below_6": ["qexp-check", "--N", "4"],
+    "N_wrong_parity": ["zeta-valuations", "--N", "7"],
+    "N_not_integers": ["sum-estimate", "--N", "x"],
+    "n_list_empty": ["sum-estimate", "--config", "{empty}"],
+    "family_in_ode_check": ["ode-check", "--d", "5"],
+    "f_0": ["kummer-table", "--f", "0"],
+    "prec_0": ["sum-estimate", "--prec", "0"],
+    "prec_negative": ["zeta-valuations", "--prec", "-5"],
+    "order_0": ["ode-check", "--order", "0"],
+    "cases_0": ["star-props", "--cases", "0"],
+    "k_neg_0": ["micro-inverse", "--k-neg", "0"],
+    "q_0": ["dwork-check", "--q", "0"],
+    "K_below_3q": ["dwork-check", "--K", "2"],
+    "K_below_3q_for_the_q_set": ["dwork-check", "--q", "5"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_FLAGS.values(), ids=BAD_FLAGS)
+def test_bad_flag_exits_2_before_any_math(argv, tmp_path, capsys):
+    empty = tmp_path / "empty.toml"
+    empty.write_text("n_list = []\n")
+    code = main([a.format(empty=empty) for a in argv])
+    out, err = capsys.readouterr()
+    assert code == EXIT_USAGE and out == ""
+    assert "config error" in err and "Traceback" not in err
+
+
+FAST = ["--p", "2", "--f", "1", "--k", "1", "--d", "3", "--N", "6",
+        "--order", "60", "--cases", "25", "--k-neg", "8", "--prec", "40"]
+
+
+def test_library_error_mid_command_is_a_fail_report(monkeypatch, capsys):
+    def broken(*args):
+        raise ValueError("injected")
+
+    monkeypatch.setattr(twists, "beta_homomorphism_ok", broken)
+    code = main(["all", *FAST])
+    out, err = capsys.readouterr()
+    verdicts = re.findall(r'"verdict": "(\w+)"', out)
+    assert code == EXIT_MATH and "Traceback" not in err
+    assert verdicts == ["fail" if name == "beta-check" else "pass" for name in COMMANDS]
+    assert '"error": "ValueError: injected"' in out and "beta-check: ValueError: injected" in err
+
+
+def test_kummer_summary_row_carries_the_verdict(monkeypatch, capsys):
+    real, calls = carries.vp_binom_kummer, []
+
+    def wrong_on_call_60(lam, n, p):
+        calls.append(1)
+        return real(lam, n, p) + (len(calls) == 60)
+
+    monkeypatch.setattr(carries, "vp_binom_kummer", wrong_on_call_60)
+    code = main(["kummer-table", "--cases", "60"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_MATH and report["verdict"] == "fail"
+    assert len(report["rows"]) == 51 and all(row["ok"] is True for row in report["rows"][:50])
+    assert report["rows"][50]["ok"] is False and report["rows"][50]["failures"] == 1
+
+
+def test_failed_case_table_check_is_not_a_usage_error(monkeypatch, capsys):
+    # special_index runs in validate; its CheckFailed is the command's to report
+    real = carries.expected_M
+    monkeypatch.setattr(carries, "expected_M", lambda k, q, N: real(k, q, N) + 1)
+    code = main(["sum-estimate", "--p", "2", "--f", "1", "--k", "1", "--d", "3", "--N", "6"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_MATH and "Traceback" not in err
+    assert out == "" or json.loads(out)["verdict"] == "fail"
+
+
+def test_precision_exhausted_keeps_finished_reports(monkeypatch, tmp_path, capsys):
+    def exhausted(*args, **kwargs):
+        raise PrecisionExhausted("injected")
+
+    monkeypatch.setattr(carries, "sum_estimate", exhausted)  # the second command of all
+    target = tmp_path / "report.json"
+    code = main(["all", *FAST, "--out", str(target)])
+    out, err = capsys.readouterr()
+    assert code == EXIT_PRECISION and out == "" and "precision exhausted: injected" in err
+    report = json.loads(target.read_text())
+    assert report["command"] == "kummer-table" and report["verdict"] == "pass"
 
 
 class TestEndToEnd:

@@ -342,6 +342,19 @@ class TestMobius:
             assert v.divisor() == {z: e for z, e in want.items() if e}
             assert v * v.inverse() == RF.const(1)
 
+    @given(
+        u=functions_with_poles() | poly_strategy().map(RF),
+        entries=st.tuples(*[st.integers(-4, 4)] * 4).filter(lambda e: e[0] * e[3] != e[1] * e[2]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_action_returns_reduced_results(self, u, entries):
+        # act_function builds its result without cancelling: it must already
+        # be what the constructor, which cancels, makes of its numerator and poles
+        g = MobiusMap.of(*entries)
+        r = g.act_function(u)
+        assert r == RF(r.num, dict(r.den_factors))
+        assert g.act_function(RF(Poly(()))) == RF(Poly(()))
+
     def test_general_action_with_lower_entry(self):
         g = MobiusMap.of(1, 2, 3, 7)
         u = RF.from_factors(F(5), {0: 2, 1: -3})

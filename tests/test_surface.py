@@ -1,6 +1,8 @@
 """The library surface: every definition in src/padicops is reached from
-outside the tests, and no module of src/padicops or tests/ imports a name it
-never uses.
+outside the tests, no module of src/padicops or tests/ imports a name it
+never uses, and no check in src/padicops is an `assert` or a
+`raise AssertionError` (`python -O` strips the one, and neither is the
+`CheckFailed` that the runner turns into a `fail` verdict).
 
 Module-level code in src/padicops, and all of scripts/ and perfbench/, is
 the root.  A definition is reached when reached code names it; the body of a
@@ -154,6 +156,19 @@ def unused_imports(root: Path = ROOT) -> list[str]:
     return out
 
 
+def assertions(root: Path = ROOT) -> list[str]:
+    """`assert` statements and `raise AssertionError` in src/padicops."""
+    out = []
+    for path in sorted((root / "src" / "padicops").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            raised = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(raised, ast.Call):
+                raised = raised.func
+            if isinstance(node, ast.Assert) or (isinstance(raised, ast.Name) and raised.id == "AssertionError"):
+                out.append(f"{path.relative_to(root)}: line {node.lineno}")
+    return out
+
+
 def test_every_definition_is_reached_or_kept():
     dead = [q for q in unreached() if q not in KEPT]
     assert not dead, f"reached only from tests (delete, or say in KEPT why they stay): {dead}"
@@ -168,3 +183,8 @@ def test_kept_entries_are_current():
 def test_no_unused_imports():
     unused = unused_imports()
     assert not unused, f"imported and never used: {unused}"
+
+
+def test_no_assertions_in_the_library():
+    found = assertions()
+    assert not found, f"a failed check raises CheckFailed, not AssertionError: {found}"
