@@ -16,6 +16,7 @@ from .padics import (
     PadicNumber,
     PrecisionExhausted,
     Rational,
+    _ppow,
     _split,
     is_p_integral,
     vp_int,
@@ -434,8 +435,10 @@ def sum_estimate(
     coefficient of the projected solution series (up to one global sign); it
     is invisible to every valuation statement since the dominant term is
     unique.  Both binomials are updated incrementally (O(n*q)
-    multiplications); the sum's valuation must equal the r = s term's
-    valuation, which is computed independently from carry counts.
+    multiplications), and the terms are summed as one fraction of p-adic
+    units, so the whole sum takes one modular inverse.  The sum's valuation
+    must equal the r = s term's valuation, which is computed independently
+    from carry counts.
 
     Reports are memoised per (idx, prec) for the life of the process, so a
     repeat call returns the same object and does not call `progress`.
@@ -461,13 +464,20 @@ def _sum_estimate(idx: SpecialIndex, prec: int, progress) -> SumReport:
     for i in range(1, c * n + 1):
         a, b, v = _split(an + i * ad, ad * i, p)
         v2, n2, d2 = v2 + v, n2 * a % mod, d2 * b % mod
+    # T = sum_r p^(v_r - base) num_r/den_r mod p^prec as the one fraction
+    # tn/td, base the least term valuation so far: one modular inverse per sum
+    base, tn, td = INF, 0, 1
     for r in range(n + 1):
         if progress is not None and r % 8192 == 0:
             progress(r, n)
-        # the one modular inverse per term: every denominator so far is folded into d1 * d2
         a, b, v = _split((-1) ** (r + c * (n - r)), (n - r) * c + 1, p)
-        term = PadicNumber(p, v1 + v2 + v, n1 * n2 * a * pow(d1 * d2 * b, -1, mod) % mod, prec)
-        total = term if r == 0 else total + term
+        vt = v1 + v2 + v
+        if vt < base:  # every earlier term gains p^(base - vt)
+            tn, base = tn * _ppow(p, min(base - vt, prec)) % mod, vt
+        if vt - base < prec:  # a term at p^prec relative to base is 0 mod p^prec
+            den = d1 * d2 * b % mod
+            tn = (tn * den + td * _ppow(p, vt - base) * (n1 * n2 * a)) % mod
+            td = td * den % mod
         if r < n:
             a, b, v = _split(ln - r * ld, ld * (r + 1), p)  # (lam - r)/(r + 1)
             v1, n1, d1 = v1 + v, n1 * a % mod, d1 * b % mod
@@ -477,11 +487,14 @@ def _sum_estimate(idx: SpecialIndex, prec: int, progress) -> SumReport:
                 top, bot = top * j * ad, bot * (an + j * ad)
             a, b, v = _split(top, bot, p)
             v2, n2, d2 = v2 + v, n2 * a % mod, d2 * b % mod
-
-    if total.is_zero():
+    # the value mod p^(base + prec), normalised as PadicNumber addition leaves it
+    unit = tn * pow(td, -1, mod) % mod
+    if unit == 0:
         raise PrecisionExhausted(
-            f"sum vanishes mod p^{total.absprec}; retry with prec about {2 * prec}"
+            f"sum vanishes mod p^{base + prec}; retry with prec about {2 * prec}"
         )
+    unit, _, v = _split(unit, 1, p)
+    total = PadicNumber(p, base + v, unit, prec - v)
     v_dom = dominant_term_valuation(idx)
     return SumReport(
         idx, prec, Fraction(total.val), Fraction(v_dom), Fraction(3 - idx.N, 2), total

@@ -100,17 +100,18 @@ class RunConfig:
         """The projector parameters that dwork-check runs."""
         return (self.dwork_q,) if self.dwork_q is not None else (2, 3)
 
-    def validate(self, level_data: bool = True, family_data: bool = True) -> None:
-        """Basic checks always; the family (p, q, k, d) unless `family_data`
-        is false, and with it each level of n_list if `level_data`.  With no
-        argument this checks everything `all` reads."""
+    def validate(self, level_data: bool = True, family_data: bool = True, twist_data: bool = True) -> None:
+        """Basic checks always; d coprime to p if `twist_data`; the family
+        (p, q, k, d) unless `family_data` is false, and with it each level of
+        n_list if `level_data`.  With no argument this checks everything `all`
+        reads."""
         if self.p >= PRIME_BOUND:
             raise ConfigError(f"p = {self.p} is too large: primality is certified only below {PRIME_BOUND}")
         if not is_prime(self.p):
             raise ConfigError(f"p = {self.p} is not prime")
         if self.fmt not in ("json", "csv"):
             raise ConfigError(f"unknown format {self.fmt!r}")
-        if self.d % self.p == 0:
+        if twist_data and self.d % self.p == 0:
             raise ConfigError(f"d = {self.d} must be coprime to p = {self.p}")
         for name in ("f", "prec", "order", "cases", "k_neg"):
             if getattr(self, name) < 1:
@@ -160,7 +161,10 @@ def parse_config_file(path: str) -> dict:
         key = key.replace("-", "_").lower()
         if val.startswith("[") and val.endswith("]"):
             items = [v.strip() for v in val[1:-1].split(",") if v.strip()]
-            out[key] = [int(v) for v in items]
+            try:
+                out[key] = [int(v) for v in items]
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: cannot parse list {val!r}") from None
         elif val.startswith('"') and val.endswith('"'):
             out[key] = val[1:-1]
         elif val in ("true", "false"):
@@ -175,6 +179,9 @@ def parse_config_file(path: str) -> dict:
 
 LEVEL_DATA_COMMANDS = {"sum-estimate", "qexp-check", "zeta-valuations", "all"}
 FAMILY_DATA_COMMANDS = LEVEL_DATA_COMMANDS | {"ode-check"}
+TWIST_DATA_COMMANDS = FAMILY_DATA_COMMANDS | {"cocycle-check"}  # the commands that read d
+# the type of each RunConfig key that is not an int
+KEY_TYPES = {"n_list": list, "fmt": str, "timing": bool}
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -198,8 +205,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, val in data.items():
+        want = KEY_TYPES.get(key, int)
+        if type(val) is not want:  # exact: a bool is not an int here
+            raise ConfigError(f"{key} = {val!r} must be of type {want.__name__}")
     cfg = RunConfig(**data)
-    cfg.validate(args.command in LEVEL_DATA_COMMANDS, args.command in FAMILY_DATA_COMMANDS)
+    cmd = args.command
+    cfg.validate(cmd in LEVEL_DATA_COMMANDS, cmd in FAMILY_DATA_COMMANDS, cmd in TWIST_DATA_COMMANDS)
     return cfg
 
 

@@ -282,22 +282,26 @@ _set_p, _set_val, _set_unit, _set_relprec = (
 
 
 def padic_binom(lam: Rational, n: int, p: int, prec: int = DEFAULT_PREC) -> PadicNumber:
-    """binom(lam, n) for a rational p-adic integer lam, evaluated incrementally.
+    """binom(lam, n) for a rational p-adic integer lam, known to `prec` unit digits.
 
-    binom(lam, n) = binom(lam, n-1) * (lam - n + 1)/n; every step is a
-    multiplication or division, so the unit part keeps full relative precision.
+    binom(lam, n) = prod_{i=1..n} (lam - i + 1)/i: the steps' valuations are
+    summed and their unit parts folded into one numerator and one denominator
+    mod p^prec, so the product takes one modular inverse and keeps full
+    relative precision.
     """
     lam = Fraction(lam)
     if not is_p_integral(lam, p):
         raise ValueError(f"{lam} is not p-integral")
     a, b = lam.numerator, lam.denominator
-    out = PadicNumber.from_rational(1, p, prec)
+    mod = _ppow(p, prec)
+    v, num, den = 0, 1, 1
     for i in range(1, n + 1):
-        num = a - (i - 1) * b  # (lam - i + 1) * b
-        if num == 0:
-            return PadicNumber.zero(p, prec + out.val)
-        out = out.mul_rational(num, b * i, prec)
-    return out
+        top = a - (i - 1) * b  # (lam - i + 1) * b
+        if top == 0:
+            return PadicNumber.zero(p, prec + v)
+        t, u, w = _split(top, b * i, p)
+        v, num, den = v + w, num * t % mod, den * u % mod
+    return PadicNumber(p, v, num * pow(den, -1, mod) % mod, prec)
 
 
 def binom_rational(lam: Rational, n: int) -> Fraction:

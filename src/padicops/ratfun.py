@@ -436,10 +436,13 @@ class RationalFunction:
         if a == b:
             return _reduced(self.num + other.num, a)
         merged = tuple(_zip_factors(a, b))
-        ca = expand_factors(tuple((r, n - m) for r, m, n in merged if n > m))
-        cb = expand_factors(tuple((r, m - n) for r, m, n in merged if m > n))
+        ca = tuple((r, n - m) for r, m, n in merged if n > m)
+        cb = tuple((r, m - n) for r, m, n in merged if m > n)
         common = [(r, max(m, n)) for r, m, n in merged]
-        return _reduced(self.num * ca + other.num * cb, common)
+        # a side whose poles already cover the sum's has the cofactor 1
+        num_a = self.num * expand_factors(ca) if ca else self.num
+        num_b = other.num * expand_factors(cb) if cb else other.num
+        return _reduced(num_a + num_b, common)
 
     def __neg__(self) -> RationalFunction:
         return _raw_rf(-self.num, self.den_factors)

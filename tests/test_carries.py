@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicops import carries
+from padicops import carries, padics
 from padicops.carries import (
     Family,
     SpecialIndex,
@@ -320,6 +320,25 @@ SUM_CASES = [
     if special_index(*family).n < 50_000
     for prec in ((1, 2, 3, 5, 20, 60) if special_index(*family).n <= 3004 else (60,))
 ]
+# two of them, named for the kernel's two bookkeeping branches:
+# (2, 1, 1, 6) at prec 60: later terms lower base, at r = 1, 3 and s = 7
+LOWERS_BASE = ((2, 1, 1, 6), 60)
+# (2, 1, 1, 6) at prec 3: the r = 12 term, of valuation 3, lies p^6 above
+# base = -3 and is dropped
+DROPS_A_TERM = ((2, 1, 1, 6), 3)
+
+
+def base_events(vals: tuple[int, ...], prec: int) -> tuple[list[int], list[int]]:
+    """The r where a term lowers the least valuation so far, and the r where a
+    term lies p^prec or more above it."""
+    lowers, drops, base = [], [], vals[0]
+    for r, v in enumerate(vals):
+        if v < base:
+            lowers.append(r)
+            base = v
+        elif v - base >= prec:
+            drops.append(r)
+    return lowers, drops
 
 
 class TestSumKernel:
@@ -333,6 +352,33 @@ class TestSumKernel:
                 carries._sum_estimate(idx, prec, None)
             return
         assert carries._sum_estimate(idx, prec, None).total._key() == want
+
+    def test_named_cases_take_both_branches(self):
+        assert {LOWERS_BASE, DROPS_A_TERM} <= set(SUM_CASES)
+        assert base_events(scanned(LOWERS_BASE[0]), LOWERS_BASE[1])[0] == [1, 3, 7]
+        assert 12 in base_events(scanned(DROPS_A_TERM[0]), DROPS_A_TERM[1])[1]
+
+    def test_one_modular_inverse_per_sum_and_per_binomial(self, monkeypatch):
+        inverses = []
+
+        def counting_pow(x, e, m=None):
+            if e == -1:
+                inverses.append(m)
+            return pow(x, e, m)
+
+        monkeypatch.setattr(carries, "pow", counting_pow, raising=False)
+        monkeypatch.setattr(padics, "pow", counting_pow, raising=False)
+        for family, prec in [((3, 1, 1, 6), 60), ((2, 2, 1, 6), 20), DROPS_A_TERM]:
+            idx = special_index(*family)
+            inverses.clear()
+            carries._sum_estimate(idx, prec, None)
+            # the carry count behind v_dominant takes its own inverse, mod p
+            assert inverses.count(idx.p**prec) == 1, family
+            inverses.clear()
+            padic_binom(idx.lam, idx.n, idx.p, prec + 1)
+            assert inverses == [idx.p ** (prec + 1)], family
+        inverses.clear()
+        assert padic_binom(5, 9, 3, 60).is_zero() and inverses == []
 
 
 class TestSumEstimate:

@@ -278,8 +278,17 @@ def test_rejected_family_exits_2(command, extra, capsys):
     assert out == "" and "error" in err
 
 
-# one entry per usage rule of RunConfig.validate, at the default family
-# (p, f, k, d) = (3, 1, 1, 4); {empty} is a config file with n_list = []
+# config files for BAD_FLAGS, named by their {placeholder}
+BAD_CONFIGS = {
+    "empty": "n_list = []\n",
+    "prec_string": 'prec = "60"\n',
+    "n_list_int": "n_list = 6\n",
+    "n_list_words": "n_list = [six]\n",
+    "seed_bool": "seed = true\n",
+}
+
+# one entry per usage rule of build_config and RunConfig.validate, at the
+# default family (p, f, k, d) = (3, 1, 1, 4)
 BAD_FLAGS = {
     "N_above_the_cap": ["sum-estimate", "--N", "12"],
     "N_below_6": ["qexp-check", "--N", "4"],
@@ -296,17 +305,32 @@ BAD_FLAGS = {
     "q_0": ["dwork-check", "--q", "0"],
     "K_below_3q": ["dwork-check", "--K", "2"],
     "K_below_3q_for_the_q_set": ["dwork-check", "--q", "5"],
+    "prec_a_string": ["sum-estimate", "--config", "{prec_string}"],
+    "n_list_an_int": ["zeta-valuations", "--config", "{n_list_int}"],
+    "n_list_not_integers": ["sum-estimate", "--config", "{n_list_words}"],
+    "seed_a_bool": ["beta-check", "--config", "{seed_bool}"],
+    "d_not_coprime_in_cocycle_check": ["cocycle-check", "--p", "2"],
 }
 
 
 @pytest.mark.parametrize("argv", BAD_FLAGS.values(), ids=BAD_FLAGS)
 def test_bad_flag_exits_2_before_any_math(argv, tmp_path, capsys):
-    empty = tmp_path / "empty.toml"
-    empty.write_text("n_list = []\n")
-    code = main([a.format(empty=empty) for a in argv])
+    paths = {}
+    for name, text in BAD_CONFIGS.items():
+        paths[name] = tmp_path / f"{name}.toml"
+        paths[name].write_text(text)
+    code = main([a.format(**paths) for a in argv])
     out, err = capsys.readouterr()
     assert code == EXIT_USAGE and out == ""
     assert "config error" in err and "Traceback" not in err
+
+
+def test_d_rule_holds_only_where_d_is_read(capsys):
+    # kummer-table never reads d, so the default d = 4 is no error at p = 2
+    assert main(["kummer-table", "--p", "2"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+    assert main(["cocycle-check", "--p", "2"]) == EXIT_USAGE
+    assert "d = 4 must be coprime to p = 2" in capsys.readouterr().err
 
 
 FAST = ["--p", "2", "--f", "1", "--k", "1", "--d", "3", "--N", "6",

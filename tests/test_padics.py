@@ -295,7 +295,43 @@ class TestMulRational:
             assert (x.unit * u.denominator - u.numerator) % p**12 == 0
 
 
+def reference_binom(lam, n: int, p: int, prec: int) -> PadicNumber:
+    """binom(lam, n) by one mul_rational per step: the loop that the
+    one-inverse product of `padic_binom` replaced, kept as its oracle."""
+    a, b = F(lam).numerator, F(lam).denominator
+    out = PadicNumber.from_rational(1, p, prec)
+    for i in range(1, n + 1):
+        num = a - (i - 1) * b
+        if num == 0:
+            return PadicNumber.zero(p, prec + out.val)
+        out = out.mul_rational(num, b * i, prec)
+    return out
+
+
+# (lam, n, p): negative lam, integer lam whose product reaches the factor 0
+# (lam = 5 at n >= 6, lam = 0 at n >= 1), integer lam short of it, the empty
+# product, and the release families' lam at a few hundred steps
+BINOM_CASES = [
+    (F(-7, 4), 40, 3), (F(-3, 2), 25, 5), (-3, 30, 2), (F(-1, 6), 200, 7),
+    (5, 9, 3), (5, 6, 2), (0, 3, 5), (5, 5, 3),
+    (F(2, 7), 0, 5), (F(1, 4), 456, 3), (F(1, 3), 86, 2), (F(3, 4), 300, 3),
+]
+
+
 class TestPadicBinom:
+    @pytest.mark.parametrize("prec", [1, 2, 60])
+    @pytest.mark.parametrize("lam, n, p", BINOM_CASES, ids=str)
+    def test_same_key_as_the_step_loop(self, lam, n, p, prec):
+        assert padic_binom(lam, n, p, prec)._key() == reference_binom(lam, n, p, prec)._key()
+
+    @settings(max_examples=200, deadline=None)
+    @given(primes, st.integers(-300, 300), st.integers(1, 12), st.integers(0, 80), st.integers(1, 70))
+    def test_drawn_binomial_matches_the_step_loop(self, p, num, den, n, prec):
+        if den % p == 0:
+            den += 1
+        lam = F(num, den)
+        assert padic_binom(lam, n, p, prec)._key() == reference_binom(lam, n, p, prec)._key()
+
     def test_half_choose_two(self):
         v = padic_binom(F(1, 2), 2, 3)
         assert binom_rational(F(1, 2), 2) == F(-1, 8)
