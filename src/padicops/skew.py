@@ -125,34 +125,43 @@ class SkewLaurentSeries:
         )
 
 
-def star(u: SkewLaurentSeries, v: SkewLaurentSeries, lo: int | None = None) -> SkewLaurentSeries:
+def star(
+    u: SkewLaurentSeries, v: SkewLaurentSeries, lo: int | None = None, hi: int | None = None
+) -> SkewLaurentSeries:
     """Star product of two stored windows, computed exactly pair by pair.
 
     The (i, j) coefficient pair contributes binom(i, i+j-k) u_i delta^(i+j-k)(v_j)
     to degree k.  For i >= 0 the binomial truncates the inner sum; for i < 0 it
     never does, and `lo` cuts the computation (defaulting to the input windows'
-    lower edge minus the default window size).  Each delta^m(v_j) is computed
-    once and shared by every i.
+    lower edge minus the default window size).  `hi`, when given, is an upper
+    cut: a pair starts at m = max(0, i + j - hi), so no coefficient above `hi`
+    is formed; a `hi` below `lo` leaves no window and raises ValueError.  Each
+    delta^m(v_j) is computed once and shared by every i.
 
     Exactness: the result is marked lo_exact only if no contribution was
-    clipped at `lo`; it inherits hi/lo exactness of the inputs.
+    clipped at `lo`, and hi_exact only if no pair was cut at `hi`; it
+    inherits hi/lo exactness of the inputs.  With `hi` set, the stored
+    coefficients are those of the uncut product in degrees <= hi.
     """
     if u.is_zero() or v.is_zero():
         return SkewLaurentSeries.zero()
     if lo is None:
         # nonnegative u never reaches below v's window; Laurent u does
         lo = v.lo() if u.lo() >= 0 else u.lo() + v.lo() - DEFAULT_WINDOW
+    if hi is not None and hi < lo:
+        raise ValueError(f"empty window: hi = {hi} < lo = {lo}")
     out: dict[int, RF] = {}
-    clipped = False
+    clipped = cut = False
     # derivs[j][m] = delta^m(v_j), grown only as far as some pair needs it
     derivs = {j: [vj] for j, vj in v.coeffs.items()}
     for i, ui in u.coeffs.items():
         for j, dj in derivs.items():
-            m = 0
+            m = 0 if hi is None or i + j <= hi else i + j - hi
+            cut = cut or m > 0
             while True:
                 if i >= 0 and m > i:
                     break
-                if m == len(dj):
+                while m >= len(dj):
                     dj.append(dj[-1].derivative())
                 d = dj[m]
                 if d.is_zero():
@@ -167,7 +176,7 @@ def star(u: SkewLaurentSeries, v: SkewLaurentSeries, lo: int | None = None) -> S
                     out[k] = out[k] + term if k in out else term
                 m += 1
     lo_exact = u.lo_exact and v.lo_exact and not clipped
-    hi_exact = u.hi_exact and v.hi_exact
+    hi_exact = u.hi_exact and v.hi_exact and not cut
     return SkewLaurentSeries(out, lo_exact, hi_exact)
 
 

@@ -198,12 +198,30 @@ def beta_build(g: MobiusMap, depth: int) -> SkewLaurentSeries:
 
 
 def beta_tail_valuation(g: MobiusMap, depth: int, p: int) -> Fraction | float:
-    """Lower bound for the reference valuation of every omitted beta term."""
+    """Infimum of n v(g.x - x) - v_p(n!) over the omitted orders n > depth: a
+    lower bound for the reference valuation of every omitted beta term.
+
+    With c = 1/(p-1) and v_p(n!) = (n - s_p(n)) c, the n-th term is
+    n (v - c) + s_p(n) c >= n (v - c) + c, so for v > c the search stops once
+    that bound reaches the least term found; for v = c the infimum is c,
+    reached at the powers of p.  For v < c the tail is unbounded below, and
+    a ValueError is raised.
+    """
     w = displacement(g)
     if w.is_zero():
         return INF
     vw = gauss_valuation(w, p)
-    return min((n * vw - vp_factorial(n, p)) for n in range(depth + 1, depth + 40))
+    c = Fraction(1, p - 1)
+    if vw < c:
+        raise ValueError(f"beta(g) diverges at p = {p}: v(g.x - x) = {vw} < 1/(p-1)")
+    if vw == c:
+        return c
+    n = depth + 1
+    best = n * vw - vp_factorial(n, p)
+    while (n + 1) * (vw - c) + c < best:
+        n += 1
+        best = min(best, n * vw - vp_factorial(n, p))
+    return best
 
 
 def beta_substitution_exact(g: MobiusMap, m_max: int) -> bool:
@@ -217,7 +235,7 @@ def beta_homomorphism_ok(g: MobiusMap, h: MobiusMap, depth: int, p: int) -> bool
     """beta(g) * beta(h) matches beta(gh) through order depth, within the tail
     budget of the two truncated factors."""
     tau = min(beta_tail_valuation(g, depth, p), beta_tail_valuation(h, depth, p))
-    prod = star(beta_build(g, depth), beta_build(h, depth))
+    prod = star(beta_build(g, depth), beta_build(h, depth), hi=depth)
     bgh = beta_build(g * h, depth)
     for k in range(depth + 1):
         diff = prod[k] - bgh[k]
@@ -237,12 +255,17 @@ def cocycle(u: RF, d: int, g: MobiusMap, depth: int, p: int) -> RF:
 
 
 def cocycle_from_tw(tw: TwistData, g: MobiusMap, depth: int) -> RF:
-    w = displacement(g)
-    out = RF.const(0)
-    wm = RF.const(1)
-    for m in range(depth + 1):
-        out = out + wm * tw.h[m]
-        wm = wm * w
+    return cocycle_partial_sums(tw, displacement(g), depth)[-1]
+
+
+def cocycle_partial_sums(tw: TwistData, w: RF, depth: int) -> list[RF]:
+    """[sum_{m <= a} w^m h[m] for a = 0..depth], built in one pass."""
+    out = [tw.h[0]]
+    wm = w
+    for m in range(1, depth + 1):
+        out.append(out[-1] + wm * tw.h[m])
+        if m < depth:
+            wm = wm * w
     return out
 
 
@@ -253,17 +276,22 @@ def cocycle_identities(u: RF, v: RF, d: int, g: MobiusMap, depth: int, p: int) -
     - c_(uv)(g) = c_u(g) c_v(g), within the same budget;
     - theta_u(beta(g)) has D^alpha coefficient beta(g)[alpha] c_u(g), with
       c_u(g) cut at order depth - alpha, exactly.
+
+    Every cocycle value is read off one `cocycle_partial_sums` list per unit.
     """
     w = displacement(g)
     vw = gauss_valuation(w, p) if not w.is_zero() else INF
     tau = (depth + 1) * vw
     tw = h_sequence(u, d, depth, p)
-    cu = cocycle_from_tw(tw, g, depth)
+    cu_sums = cocycle_partial_sums(tw, w, depth)
+    cu = cu_sums[depth]
     diff = cu**d - u / g.act_function(u)
     power_ok = diff.is_zero() or gauss_valuation(diff, p) >= tau
-    diff = cocycle(u * v, d, g, depth, p) - cu * cocycle(v, d, g, depth, p)
+    cuv = cocycle_partial_sums(h_sequence(u * v, d, depth, p), w, depth)[depth]
+    cv = cocycle_partial_sums(h_sequence(v, d, depth, p), w, depth)[depth]
+    diff = cuv - cu * cv
     mult_ok = diff.is_zero() or gauss_valuation(diff, p) >= tau
     bg = beta_build(g, depth)
     lhs = theta_apply(tw, bg)
-    twist_ok = all(lhs[a] == bg[a] * cocycle_from_tw(tw, g, depth - a) for a in range(depth + 1))
+    twist_ok = all(lhs[a] == bg[a] * cu_sums[depth - a] for a in range(depth + 1))
     return power_ok, mult_ok, twist_ok

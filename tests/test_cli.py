@@ -181,6 +181,16 @@ def test_default_output_matches_golden_bytes(command):
     assert proc.stdout == (REPO / "tests" / "golden" / f"{command}.json").read_bytes()
 
 
+# the seeded operator checks at three more seeds, pinned in
+# tests/golden/<command>-seed<n>.json
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("command", ["beta-check", "cocycle-check", "star-props"])
+def test_seeded_output_matches_golden_bytes(command, seed, capsys):
+    assert main([command, "--config", str(REPO / "default.toml"), "--seed", str(seed)]) == EXIT_OK
+    golden = REPO / "tests" / "golden" / f"{command}-seed{seed}.json"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
 # (p, f, k, d) and levels of the other two release families, pinned in
 # tests/golden/<command>-<p>-<f>-<k>-<d>.json
 GOLDEN_FAMILIES = {(2, 1, 1, 3): "6,8,10", (3, 1, 3, 4): "7,9"}

@@ -171,6 +171,40 @@ class TestStarProduct:
         got, want = star(u, v, lo), reference_star(u, v, lo)
         assert got.coeffs == want.coeffs and got.lo_exact == want.lo_exact
 
+    def test_upper_cut_matches_the_restricted_reference_on_laurent_windows(self):
+        r = random.Random(11)
+        for _ in range(120):
+            u = rand_rf_op(r, r.randint(-6, 2))
+            v = rand_rf_op(r, r.randint(-6, 2))
+            lo = r.choice([None, r.randint(-16, 2)])
+            hi = r.randint(-10, 8)
+            self._check_cut(u, v, lo, hi)
+
+    @given(u=operators, v=operators, lo=st.none() | st.integers(min_value=-14, max_value=4),
+           hi=st.integers(min_value=-14, max_value=14))
+    @settings(max_examples=80, deadline=None)
+    def test_upper_cut_matches_the_restricted_reference_property(self, u, v, lo, hi):
+        self._check_cut(u, v, lo, hi)
+
+    @staticmethod
+    def _check_cut(u, v, lo, hi):
+        if u.is_zero() or v.is_zero():
+            assert star(u, v, lo, hi).is_zero()
+            return
+        window_lo = lo if lo is not None else v.lo() if u.lo() >= 0 else u.lo() + v.lo() - 40
+        if hi < window_lo:
+            with pytest.raises(ValueError, match="empty window"):
+                star(u, v, lo, hi)
+            return
+        got, want = star(u, v, lo, hi), reference_star(u, v, lo)
+        assert got.coeffs == {k: c for k, c in want.coeffs.items() if k <= hi}
+        cut = any(i + j > hi for i in u.coeffs for j in v.coeffs)
+        assert got.hi_exact == (want.hi_exact and not cut)
+        assert got.lo_exact == want.lo_exact
+        uncut = star(u, v, lo, hi=None)
+        assert uncut.coeffs == want.coeffs
+        assert (uncut.lo_exact, uncut.hi_exact) == (want.lo_exact, want.hi_exact)
+
     def test_ring_action_on_functions(self):
         for _ in range(100):
             u, v = rand_op(3), rand_op(3)

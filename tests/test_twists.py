@@ -17,6 +17,7 @@ from padicops.twists import (
     cocycle,
     cocycle_from_tw,
     cocycle_identities,
+    cocycle_partial_sums,
     displacement,
     h_closed_form_monomial,
     h_sequence,
@@ -238,6 +239,27 @@ class TestBeta:
                 diff = prod[k] - bgh[k]
                 assert diff.is_zero() or gauss_valuation(diff, p) >= tau
 
+    def test_tail_valuation_is_the_infimum_past_the_old_window(self):
+        # v(w) = 1 = 1/(p-1) at p = 2: the n-th term is s_2(n), and past
+        # depth 260 its least value 1 is reached only at n = 512
+        assert beta_tail_valuation(MobiusMap.translation(2), 260, 2) == 1
+        assert beta_tail_valuation(MobiusMap.translation(2), 0, 2) == 1
+
+    @pytest.mark.parametrize("p,t", [(2, 4), (2, 12), (2, F(8, 3)), (3, 3), (3, 18), (5, 5), (5, 125)])
+    def test_tail_valuation_matches_a_long_scan(self, p, t):
+        g = MobiusMap.translation(t)
+        vw = gauss_valuation(displacement(g), p)
+        for depth in (0, 7, 8, 30, 242, 260):
+            want = min(n * vw - vp_factorial(n, p) for n in range(depth + 1, depth + 3000))
+            assert beta_tail_valuation(g, depth, p) == want
+
+    def test_tail_valuation_rejects_a_divergent_substitution(self):
+        # v(w) = 0 < 1/2 at p = 3: n v(w) - v_3(n!) is unbounded below
+        with pytest.raises(ValueError, match="diverges"):
+            beta_tail_valuation(MobiusMap.translation(1), 8, 3)
+        with pytest.raises(ValueError, match="diverges"):
+            beta_homomorphism_ok(MobiusMap.translation(1), MobiusMap.translation(3), 8, 3)
+
     def test_inverse_within_tail_bounds(self):
         p, depth = 5, 10
         g = MobiusMap.translation(5)
@@ -296,11 +318,17 @@ class TestCocycle:
         assert cocycle_identities(x, RF.from_factors(1, {5: 2}), 3, g, 9, 5) == (True, True, True)
         assert cocycle_identities(x, x**2, 2, MobiusMap.translation(25), 10, 5) == (True, True, True)
 
-    def test_identities_check_fails_without_the_linear_term(self, monkeypatch):
-        def drop_linear(tw, g, depth):
-            return cocycle_from_tw(tw, g, depth) - displacement(g) * tw.h[1]
+    def test_partial_sums_are_the_cut_cocycles(self):
+        g = MobiusMap.of(6, 5, 25, 1)
+        tw = h_sequence(RF.from_factors(1, {5: 2}) * x, 3, 9, 5)
+        sums = cocycle_partial_sums(tw, displacement(g), 9)
+        assert sums == [cocycle_from_tw(tw, g, a) for a in range(10)]
 
-        monkeypatch.setattr(twists, "cocycle_from_tw", drop_linear)
+    def test_identities_check_fails_without_the_linear_term(self, monkeypatch):
+        def drop_linear(tw, w, depth):
+            return [s - w * tw.h[1] for s in cocycle_partial_sums(tw, w, depth)]
+
+        monkeypatch.setattr(twists, "cocycle_partial_sums", drop_linear)
         g = MobiusMap.of(6, 5, 25, 1)
         assert cocycle_identities(x, RF.from_factors(1, {5: 2}), 3, g, 9, 5) == (False, False, False)
 
@@ -309,3 +337,23 @@ class TestCocycle:
         monkeypatch.setattr(twists, "beta_build", drop_top_term)
         g = MobiusMap.of(6, 5, 25, 1)
         assert cocycle_identities(x, RF.from_factors(1, {5: 2}), 3, g, 9, 5) == (True, True, False)
+
+    def test_identities_build_each_partial_sum_list_once(self, monkeypatch):
+        built, moved = [], []
+
+        def counting_sums(tw, w, depth):
+            built.append(tw.u)
+            return cocycle_partial_sums(tw, w, depth)
+
+        def counting_displacement(g):
+            moved.append(g)
+            return displacement(g)
+
+        monkeypatch.setattr(twists, "cocycle_partial_sums", counting_sums, raising=False)
+        monkeypatch.setattr(twists, "displacement", counting_displacement)
+        u, v, depth = x, RF.from_factors(1, {5: 2}), 9
+        assert cocycle_identities(u, v, 3, MobiusMap.of(6, 5, 25, 1), depth, 5) == (True, True, True)
+        # one list per unit (u, uv, v), not one cocycle per degree of the
+        # twist check; g.x - x once for the sums and once inside beta_build
+        assert built.count(u) == 1 and len(built) == 3
+        assert len(moved) == 2
