@@ -549,7 +549,7 @@ def cmd_star_props(cfg: RunConfig) -> Report:
 
     def rand_op(maxdeg=4, polydeg=2, lo=0):
         return skew.SkewLaurentSeries.of({
-            kk: ratfun.Poly(tuple(Fraction(rng.randint(-4, 4)) for _ in range(rng.randint(1, polydeg + 1))))
+            kk: ratfun.Poly(rng.randint(-4, 4) for _ in range(rng.randint(1, polydeg + 1)))
             for kk in range(lo, rng.randint(lo + 1, lo + maxdeg))
         } or {0: ratfun.Poly.of(1)})
 

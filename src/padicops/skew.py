@@ -7,7 +7,7 @@ the bidirectional convolution
 
     (u * v)_k = sum_i u_i sum_m binom(i, m) delta^m(v_{k-i+m}),
 
-which for stored finite supports collapses to one term per coefficient pair.
+which `star` evaluates as written: one product u_i times an inner sum per degree.
 Negative powers of D make true products infinite in the negative direction,
 so every series records whether its stored support is complete on each side
 (`lo_exact` / `hi_exact`).
@@ -128,17 +128,20 @@ class SkewLaurentSeries:
 def star(
     u: SkewLaurentSeries, v: SkewLaurentSeries, lo: int | None = None, hi: int | None = None
 ) -> SkewLaurentSeries:
-    """Star product of two stored windows, computed exactly pair by pair.
+    """Star product of two stored windows, computed exactly.
 
     The (i, j) coefficient pair contributes binom(i, i+j-k) u_i delta^(i+j-k)(v_j)
-    to degree k.  For i >= 0 the binomial truncates the inner sum; for i < 0 it
+    to degree k.  As in the module docstring, the terms of one i and k are
+    summed first, with v's poles only, and u_i multiplies each nonzero inner
+    sum once.  For i >= 0 the binomial truncates the inner sum; for i < 0 it
     never does, and `lo` cuts the computation (defaulting to the input windows'
     lower edge minus the default window size).  `hi`, when given, is an upper
     cut: a pair starts at m = max(0, i + j - hi), so no coefficient above `hi`
     is formed; a `hi` below `lo` leaves no window and raises ValueError.  Each
     delta^m(v_j) is computed once and shared by every i.
 
-    Exactness: the result is marked lo_exact only if no contribution was
+    Exactness: the inner sums visit the (i, j, m) terms a pair-by-pair sum
+    would, so the result is marked lo_exact only if no contribution was
     clipped at `lo`, and hi_exact only if no pair was cut at `hi`; it
     inherits hi/lo exactness of the inputs.  With `hi` set, the stored
     coefficients are those of the uncut product in degrees <= hi.
@@ -155,6 +158,8 @@ def star(
     # derivs[j][m] = delta^m(v_j), grown only as far as some pair needs it
     derivs = {j: [vj] for j, vj in v.coeffs.items()}
     for i, ui in u.coeffs.items():
+        # inner[k] = sum_m binom(i, m) delta^m(v_(k-i+m)): v's poles only
+        inner: dict[int, RF] = {}
         for j, dj in derivs.items():
             m = 0 if hi is None or i + j <= hi else i + j - hi
             cut = cut or m > 0
@@ -172,9 +177,13 @@ def star(
                     break
                 b = zbinom(i, m)
                 if b:
-                    term = ui * d if b == 1 else (ui * d).scale(b)
-                    out[k] = out[k] + term if k in out else term
+                    term = d if b == 1 else d.scale(b)
+                    inner[k] = inner[k] + term if k in inner else term
                 m += 1
+        for k, s in inner.items():
+            if not s.is_zero():
+                term = ui * s
+                out[k] = out[k] + term if k in out else term
     lo_exact = u.lo_exact and v.lo_exact and not clipped
     hi_exact = u.hi_exact and v.hi_exact and not cut
     return SkewLaurentSeries(out, lo_exact, hi_exact)
@@ -207,7 +216,8 @@ def transpose(u: SkewLaurentSeries) -> SkewLaurentSeries:
             if b and not d.is_zero():
                 term = d.scale(b)
                 out[k] = out[k] + term if k in out else term
-            d = d.derivative()
+            if k:
+                d = d.derivative()
     return SkewLaurentSeries(out, u.lo_exact, u.hi_exact)
 
 

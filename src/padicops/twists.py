@@ -285,7 +285,8 @@ def cocycle_identities(u: RF, v: RF, d: int, g: MobiusMap, depth: int, p: int) -
     tw = h_sequence(u, d, depth, p)
     cu_sums = cocycle_partial_sums(tw, w, depth)
     cu = cu_sums[depth]
-    diff = cu**d - u / g.act_function(u)
+    # g.(1/u) = 1/(g.u): this factors u's numerator, not that of g.u
+    diff = cu**d - u * g.act_function(u.inverse())
     power_ok = diff.is_zero() or gauss_valuation(diff, p) >= tau
     cuv = cocycle_partial_sums(h_sequence(u * v, d, depth, p), w, depth)[depth]
     cv = cocycle_partial_sums(h_sequence(v, d, depth, p), w, depth)[depth]

@@ -5,7 +5,34 @@ from padicops.cheeses import circle_valuation, gauss_valuation
 from padicops.padics import vp_rational
 from padicops.ratfun import Poly, RationalFunction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 RF = RationalFunction
+
+
+def fraction_circle_valuation(f, p, center, e):
+    """The circle valuation as first written: one Fraction valuation per
+    shifted coefficient."""
+    e = F(e)
+    shifted = f.num.shift(F(center))
+    zeros = min(F(vp_rational(c, p)) - i * e for i, c in enumerate(shifted.coeffs) if c)
+    poles = sum(m * min(-e, vp_rational(center - r, p)) for r, m in f.den_factors)
+    return zeros - poles
+
+
+@st.composite
+def circle_cases(draw):
+    """(f, p, center, e): coefficients and poles of every p-adic valuation in
+    -2..2, so denominators divisible by p and poles at non-units both occur."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    padic = st.builds(lambda n, k, q: F(n, q) * F(p) ** k, st.integers(-40, 40),
+                      st.integers(-2, 2), st.sampled_from([1, 2, 7]))
+    num = Poly(draw(st.lists(padic, min_size=1, max_size=5)))
+    poles = draw(st.dictionaries(padic, st.integers(1, 3), max_size=3))
+    center = draw(st.just(F(0)) | padic)
+    e = draw(st.just(F(0)) | st.builds(F, st.integers(-6, 6), st.integers(1, 3)))
+    return RF(num, poles), p, center, e
 
 
 class TestSupNorm:
@@ -41,6 +68,16 @@ class TestSupNorm:
                 e = F(rng.randrange(-6, 7), rng.choice([1, 2, 3]))
                 want = poly_valuation(f.num, p, center, e) - poly_valuation(f.den, p, center, e)
                 assert circle_valuation(f, p, center, e) == want, (f, p, center, e)
+
+    @given(case=circle_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_integer_content_matches_the_fraction_minimum(self, case):
+        f, p, center, e = case
+        if f.is_zero():
+            return
+        got = circle_valuation(f, p, center, e)
+        assert got == fraction_circle_valuation(f, p, center, e)
+        assert isinstance(got, F)
 
     def test_gauss_valuation(self):
         assert gauss_valuation(RF(Poly.of(3, 1, 9)), 3) == 0

@@ -9,7 +9,7 @@ import pytest
 
 import padicops
 from padicops.padics import vp_rational
-from padicops.ratfun import Poly, RationalFunction
+from padicops.ratfun import MobiusMap, Poly, RationalFunction
 from padicops.skew import (
     DividedPowerOperator,
     SkewLaurentSeries,
@@ -24,6 +24,7 @@ from padicops.skew import (
     transpose,
     zbinom,
 )
+from padicops.twists import beta_build
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -205,6 +206,41 @@ class TestStarProduct:
         assert uncut.coeffs == want.coeffs
         assert (uncut.lo_exact, uncut.hi_exact) == (want.lo_exact, want.hi_exact)
 
+    def test_one_product_per_left_coefficient_and_output_degree(self, monkeypatch):
+        u = beta_build(MobiusMap.of(6, 5, 25, 1), 8)
+        v = beta_build(MobiusMap.of(1, 10, 5, 1), 8)
+        calls = []
+        mul = RF.__mul__
+
+        def counting_mul(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        monkeypatch.setattr(RF, "__mul__", counting_mul)
+        prod = star(u, v, hi=8)
+        monkeypatch.undo()
+        # the output degrees are 0..8; pair by pair this was one product per (i, j, m)
+        assert len(calls) <= len(u.coeffs) * 9
+        want = reference_star(u, v)
+        assert prod.coeffs == {k: c for k, c in want.coeffs.items() if k <= 8}
+
+    def test_an_inner_sum_that_cancels_is_dropped(self, monkeypatch):
+        # D * (f - f' D^-1) = f D - f'' D^-1: for i = 1 the degree-0 inner sum
+        # is f' - f' = 0, and u_1 multiplies only the nonzero inner sums
+        for f in (RF(Poly.of(0, 1)), RF(Poly.of(1), {1: 1}), RF(Poly.of(2, 0, 3), {F(1, 2): 2, -1: 1})):
+            v = S({0: f, -1: -f.derivative()})
+            for u in (S.of({1: 1}), S({1: RF(Poly.of(1, 1), {2: 1}), 0: RF(Poly.of(3), {0: 1})})):
+                got, want = star(u, v), reference_star(u, v)
+                assert got.coeffs == want.coeffs
+                assert (got.lo_exact, got.hi_exact) == (want.lo_exact, want.hi_exact)
+            calls = []
+            mul = RF.__mul__
+            monkeypatch.setattr(RF, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+            want = S({1: f, -1: -f.derivative().derivative()})
+            assert star(S.of({1: 1}), v) == want
+            monkeypatch.undo()
+            assert len(calls) == len(want.coeffs)
+
     def test_ring_action_on_functions(self):
         for _ in range(100):
             u, v = rand_op(3), rand_op(3)
@@ -234,6 +270,15 @@ class TestTranspose:
     def test_needs_nonnegative_window(self):
         with pytest.raises(ValueError):
             transpose(S.of({-1: 1}))
+
+    def test_derives_each_coefficient_only_to_degree_zero(self, monkeypatch):
+        # a_j D^j needs delta^0..delta^j(a_j): j derivatives, none past k = 0
+        u = S({j: RF(Poly.of(1, j, 2), {F(j, 3): 1}) for j in (0, 1, 3, 4)})
+        calls = []
+        derivative = RF.derivative
+        monkeypatch.setattr(RF, "derivative", lambda a: calls.append(1) or derivative(a))
+        transpose(u)
+        assert len(calls) == 0 + 1 + 3 + 4
 
 
 class TestApply:

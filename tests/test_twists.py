@@ -293,6 +293,21 @@ class TestCocycle:
             rhs = u / g.act_function(u)
             assert gauss_valuation(c**d - rhs, 5) >= 11 * 2
 
+    def test_unit_ratio_through_the_inverse_matches_the_quotient(self):
+        # substitution is a field automorphism, so u * g.(1/u) = u / (g.u)
+        r = random.Random(3)
+        units = [x, RF.from_factors(3, {0: 2, 5: -1}), RF.from_factors(F(-1, 2), {F(1, 5): 1, -2: -2, 10: 3}),
+                 RF(Poly.of(-1, 0, 4), {25: 1})]
+        checked = 0
+        while checked < 40:
+            a, b, c, d = (r.choice([0, 1, -1, 2, 5, 25, F(1, 5)]) for _ in range(4))
+            if a * d == b * c:
+                continue
+            g = MobiusMap.of(a, b, c, d)
+            u = units[checked % len(units)]
+            assert u * g.act_function(u.inverse()) == u / g.act_function(u), (u, g)
+            checked += 1
+
     def test_multiplicative_in_u(self):
         g = MobiusMap.of(6, 5, 25, 1)
         u, v = x, RF.from_factors(1, {5: 2})
