@@ -19,6 +19,7 @@ from .padics import (
     _ppow,
     _split,
     is_p_integral,
+    vp_factorial,
     vp_int,
 )
 
@@ -355,13 +356,14 @@ def dominant_term_valuation(idx: SpecialIndex) -> int:
 
 def term_valuations(idx: SpecialIndex):
     """Yield the valuation of every summand of `sum_estimate`, r = 0..n, by
-    Legendre increments: `vp_int` of each factor that `_sum_estimate` folds.
+    Legendre increments of binom(lam, r) and S_{n,r} apart (`_sum_estimate`
+    steps one quotient of terms), S_{n,0} from v((cn)!) by Legendre's formula.
     Neither lam nor alpha is an integer, so no factor vanishes."""
     p, n, c = idx.p, idx.n, idx.q - 1
     ln, ld = idx.lam.numerator, idx.lam.denominator
     an, ad = idx.alpha.numerator, idx.alpha.denominator
     v1 = 0  # v(binom(lam, r))
-    v2 = sum(vp_int(an + i * ad, p) - vp_int(i, p) for i in range(1, c * n + 1))  # v(S_{n,r})
+    v2 = sum(vp_int(an + i * ad, p) for i in range(1, c * n + 1)) - vp_factorial(c * n, p)  # v(S_{n,r})
     for r in range(n + 1):
         yield v1 + v2 - vp_int((n - r) * c + 1, p)
         if r < n:
@@ -434,11 +436,12 @@ def sum_estimate(
     in capped p-adics.  The sign factor makes the total exactly the s^n
     coefficient of the projected solution series (up to one global sign); it
     is invisible to every valuation statement since the dominant term is
-    unique.  Both binomials are updated incrementally (O(n*q)
-    multiplications), and the terms are summed as one fraction of p-adic
-    units, so the whole sum takes one modular inverse.  The sum's valuation
-    must equal the r = s term's valuation, which is computed independently
-    from carry counts.
+    unique.  The term itself is stepped, one exact quotient
+    term_(r+1)/term_r of small integers per r (O(n*q) multiplications), and
+    the terms are summed as one fraction of p-adic units over the running
+    term denominator, so the whole sum takes one modular inverse.  The sum's
+    valuation must equal the r = s term's valuation, which is computed
+    independently from carry counts.
 
     Reports are memoised per (idx, prec) for the life of the process, so a
     repeat call returns the same object and does not call `progress`.
@@ -458,37 +461,33 @@ def _sum_estimate(idx: SpecialIndex, prec: int, progress) -> SumReport:
     p, n, c, mod = idx.p, idx.n, idx.q - 1, idx.p**prec
     ln, ld = idx.lam.numerator, idx.lam.denominator
     an, ad = idx.alpha.numerator, idx.alpha.denominator
-    # binom(lam, r) and S_{n,r} as p^v * num/den with num, den units mod p^prec;
-    # S_{n,0} = binom(alpha + cn, cn) = prod_{i=1..cn} (alpha + i)/i
-    v1, n1, d1 = v2, n2, d2 = 0, 1, 1
+    # the r-th term as p^vt * tn/td with tn, td units mod p^prec; the r = 0 term
+    # is (-1)^(cn) S_{n,0}/(cn + 1), S_{n,0} = prod_{i=1..cn} (alpha + i)/i
+    tn, td, vt = _split((-1) ** (c * n), c * n + 1, p)
     for i in range(1, c * n + 1):
         a, b, v = _split(an + i * ad, ad * i, p)
-        v2, n2, d2 = v2 + v, n2 * a % mod, d2 * b % mod
-    # T = sum_r p^(v_r - base) num_r/den_r mod p^prec as the one fraction
-    # tn/td, base the least term valuation so far: one modular inverse per sum
-    base, tn, td = INF, 0, 1
+        vt, tn, td = vt + v, tn * a % mod, td * b % mod
+    # T = sum_r p^(v_r - base) tn_r/td_r mod p^prec, base the least term valuation
+    # so far, is sn/td since td_r divides td_(r+1): one modular inverse per sum
+    base, sn = INF, 0
     for r in range(n + 1):
         if progress is not None and r % 8192 == 0:
             progress(r, n)
-        a, b, v = _split((-1) ** (r + c * (n - r)), (n - r) * c + 1, p)
-        vt = v1 + v2 + v
         if vt < base:  # every earlier term gains p^(base - vt)
-            tn, base = tn * _ppow(p, min(base - vt, prec)) % mod, vt
+            sn, base = sn * _ppow(p, min(base - vt, prec)) % mod, vt
         if vt - base < prec:  # a term at p^prec relative to base is 0 mod p^prec
-            den = d1 * d2 * b % mod
-            tn = (tn * den + td * _ppow(p, vt - base) * (n1 * n2 * a)) % mod
-            td = td * den % mod
+            sn = (sn + _ppow(p, vt - base) * tn) % mod
         if r < n:
-            a, b, v = _split(ln - r * ld, ld * (r + 1), p)  # (lam - r)/(r + 1)
-            v1, n1, d1 = v1 + v, n1 * a % mod, d1 * b % mod
-            # S_{n,r+1}/S_{n,r} = prod_{j=B-c+1..B} j/(alpha + j), B = c(n - r), as one quotient
-            top = bot = 1
-            for j in range(c * (n - r) - c + 1, c * (n - r) + 1):
+            # term_(r+1)/term_r = (-1)^(1-c) (lam - r)/(r + 1) (B + 1)/(B - c + 1)
+            # * prod_{j=B-c+1..B} j/(alpha + j), B = c(n - r), as one quotient
+            B = c * (n - r)
+            top, bot = (ln - r * ld) * (B + 1), ld * (r + 1) * (B - c + 1)
+            for j in range(B - c + 1, B + 1):
                 top, bot = top * j * ad, bot * (an + j * ad)
-            a, b, v = _split(top, bot, p)
-            v2, n2, d2 = v2 + v, n2 * a % mod, d2 * b % mod
+            a, b, v = _split(top if c % 2 else -top, bot, p)
+            vt, tn, td, sn = vt + v, tn * a % mod, td * b % mod, sn * b % mod
     # the value mod p^(base + prec), normalised as PadicNumber addition leaves it
-    unit = tn * pow(td, -1, mod) % mod
+    unit = sn * pow(td, -1, mod) % mod
     if unit == 0:
         raise PrecisionExhausted(
             f"sum vanishes mod p^{base + prec}; retry with prec about {2 * prec}"

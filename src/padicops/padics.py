@@ -22,7 +22,10 @@ class PrecisionExhausted(ArithmeticError):
 
 
 def vp_int(n: int, p: int) -> int | float:
-    """Valuation v_p(n) of an integer; INF for 0."""
+    """Valuation v_p(n) of an integer; INF for 0.  Returns at once when p
+    does not divide n, as for all but one in p of the integers scanned."""
+    if n % p:
+        return 0
     if n == 0:
         return INF
     n = abs(n)

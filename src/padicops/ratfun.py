@@ -169,11 +169,13 @@ class Poly(IntegerNumerators):
         return _make([c * n for c in self.num], self.den * a.denominator)
 
     def __pow__(self, n: int) -> Poly:
-        out, base = Poly.of(1), self
+        out, base = (None if n else Poly.of(1)), self
         while n:
             if n & 1:
-                out = out * base
-            base, n = base * base, n >> 1
+                out = base if out is None else out * base
+            n >>= 1
+            if n:  # no square past the top bit
+                base = base * base
         return out
 
     def synth_div(self, root: Rational) -> tuple[Poly, Fraction]:

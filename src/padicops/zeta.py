@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import factorial
 
 from .carries import CheckFailed, Family, SpecialIndex, sum_estimate, SumReport
-from .padics import PadicNumber, padic_binom, vp_int, vp_rational
+from .padics import PadicNumber, _ppow, _split, padic_binom, vp_int, vp_rational
 from .series import QSeries, binomial_series
 
 F = Fraction
@@ -252,6 +252,8 @@ def phi_series_coefficient(p: int, q: int, k: int, d: int, n_target: int, prec: 
     from `unit_ratio`.  The m-th term has valuation >= m, so stopping at
     m <= P = prec + v_p(D) is exact mod p^(P+1).  One O(n) padic_binom gives
     binom(lam, n); every binom(lam - m, i) after it is one exact step away.
+    Each inner sum over i, of p-integral binomials, is one numerator over its
+    steps' running denominator mod p^(P+1): one modular inverse per m.
     """
     lam = Family(p, q, k, d).lam
     ln, ld = lam.numerator, lam.denominator
@@ -277,15 +279,22 @@ def phi_series_coefficient(p: int, q: int, k: int, d: int, n_target: int, prec: 
         # [y^(J-m)] f^m (1-s)^(lam-m): l = J - m - c i must lie in 0..deg f^m
         i_hi = (J - m) // c
         i_lo = max(0, -((m * q - J) // c))
-        inner = PadicNumber.zero(p, R)
-        b = top
+        # b = binom(lam - m, i) as p^vb * bn/bd, p-integral, and the inner sum
+        # as sn/bd mod p^R: one inverse per m
+        vb, bn, bd, sn = top.val, top.unit, 1, 0
         for i in range(n, i_lo - 1, -1):
             if i <= i_hi:
                 a = fm[J - m - c * i]
                 if a:
-                    inner = inner + b.mul_rational(-a if i % 2 else a, 1, R)
+                    sn = (sn + _ppow(p, vb) * bn * (-a if i % 2 else a)) % mod
             if i > i_lo:
-                b = b.mul_rational(i * ld, ln - (m + i - 1) * ld, R)  # down in i
+                x, y, w = _split(i * ld, ln - (m + i - 1) * ld, p)  # down in i
+                vb, bn, bd, sn = vb + w, bn * x % mod, bd * y % mod, sn * y % mod
+        # the inner sum mod p^R with absprec R, as PadicNumber adds leave it
+        u, inner = sn * pow(bd, -1, mod) % mod, PadicNumber.zero(p, R)
+        if u:
+            u, _, v = _split(u, 1, p)
+            inner = PadicNumber(p, v, u, R - v)
         S = S + (bm * inner).mul_rational(p**m, 1, R)
     return S.mul_rational(-ld, dnum, R)
 

@@ -380,6 +380,24 @@ class TestSumKernel:
         inverses.clear()
         assert padic_binom(5, 9, 3, 60).is_zero() and inverses == []
 
+    def test_one_split_per_term_step(self, monkeypatch):
+        # cn splits build S_{n,0}, one the r = 0 denominator, one each of the
+        # n term quotients and one the final unit
+        splits = []
+        real = carries._split
+
+        def counting_split(num, den, p):
+            splits.append(1)
+            return real(num, den, p)
+
+        monkeypatch.setattr(carries, "_split", counting_split)
+        for family, prec in [((3, 1, 1, 6), 60), ((2, 1, 1, 6), 60), ((2, 2, 1, 6), 20), DROPS_A_TERM]:
+            idx = special_index(*family)
+            splits.clear()
+            carries._sum_estimate(idx, prec, None)
+            c, n = idx.q - 1, idx.n
+            assert len(splits) <= c * n + n + 2, family
+
 
 class TestSumEstimate:
     def test_small_exact_cross_check(self):

@@ -23,6 +23,7 @@ from padicops.padics import (
     varpi_m_valuation,
     varpi_valuation,
     vp_factorial,
+    vp_int,
     vp_rational,
 )
 
@@ -98,6 +99,38 @@ class TestValuations:
             for k in range(0, 10**4, 271):
                 val = vp_factorial(k, p) - vp_factorial(k // p**m, p) - k * wv
                 assert -m <= val <= 0, (p, m, k)
+
+
+def loop_vp_int(n, p):
+    """v_p(n) by trial division from the first step: the loop `vp_int` ran
+    before it returned early on p not dividing n."""
+    if n == 0:
+        return INF
+    n, v = abs(n), 0
+    while n % p == 0:
+        n, v = n // p, v + 1
+    return v
+
+
+class TestVpInt:
+    @given(
+        p=primes,
+        k=st.integers(0, 40),
+        u=st.integers(-10**12, 10**12),
+        sign=st.sampled_from([1, -1]),
+    )
+    def test_matches_the_division_loop(self, p, k, u, sign):
+        n = sign * p**k * u
+        assert vp_int(n, p) == loop_vp_int(n, p)
+        if u % p:
+            assert vp_int(n, p) == k
+
+    def test_zero_and_negative(self):
+        for p in PRIMES:
+            assert vp_int(0, p) == INF
+            assert vp_int(-p**40, p) == 40
+            assert vp_int(-(p + 1), p) == 0
+            assert vp_int(-p * (p + 1), p) == 1
 
 
 def padic_digits(lam, count, p):

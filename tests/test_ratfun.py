@@ -52,6 +52,25 @@ class TestPoly:
         with pytest.raises(NonRationalRoots):
             rational_roots(Poly.of(1, 0, 1))
 
+    def test_pow_makes_one_product_per_squaring_and_per_extra_bit(self, monkeypatch):
+        base = Poly.of(F(1, 2), -3, 1)
+        want = {0: Poly.of(1)}
+        for n in range(1, 41):
+            want[n] = want[n - 1] * base
+        products = []
+        real = Poly.__mul__
+
+        def counting_mul(a, b):
+            products.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(Poly, "__mul__", counting_mul)
+        for n in range(41):
+            products.clear()
+            assert base**n == want[n], n
+            expected = 0 if n == 0 else (n.bit_length() - 1) + (bin(n).count("1") - 1)
+            assert len(products) == expected, n
+
 
 # -- a plain-Fraction oracle for the integer kernel ---------------------------
 

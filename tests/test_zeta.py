@@ -7,8 +7,9 @@ from fractions import Fraction as F
 import pytest
 
 import padicops
-from padicops import cli, zeta
-from padicops.padics import PadicNumber
+from padicops import cli, padics, zeta
+from padicops.carries import Family
+from padicops.padics import PadicNumber, padic_binom, vp_int
 from padicops.series import QSeries, binomial_series
 from padicops.zeta import (
     alpha_and_j,
@@ -223,6 +224,89 @@ class TestXvZero:
 
 # (p, q, k, d) of the exact-rational oracle for the series route
 ROUTE_CASES = [(3, 3, 1, 4), (2, 2, 1, 3), (3, 3, 3, 4), (5, 5, 1, 6), (5, 5, 2, 3)]
+# (p, f, k, d, levels) of the release families
+RELEASE_FAMILIES = [(3, 1, 1, 4, (6, 8, 10)), (2, 1, 1, 3, (6, 8, 10)), (3, 1, 3, 4, (7, 9))]
+
+
+def reference_phi(p, q, k, d, n_target, prec):
+    """The series route with one PadicNumber step and add per inner term: the
+    loop that the one-fraction inner sum of `phi_series_coefficient`
+    replaced, kept as its oracle."""
+    lam = Family(p, q, k, d).lam
+    ln, ld = lam.numerator, lam.denominator
+    n, c = n_target, q - 1
+    J = c * n + 1
+    dnum = c * n * ld - q * ln
+    P = prec + vp_int(dnum, p)
+    R = P + 1
+    mod = p**R
+    fpoly = [int(a) for a in unit_ratio(p, q, 1)[1]]
+    fm = [1]
+    bm = PadicNumber.from_rational(1, p, R)
+    top = padic_binom(lam, n, p, R)
+    S = PadicNumber.zero(p, R)
+    for m in range(1, min(P, J) + 1):
+        prod = [0] * (len(fm) + c)
+        for j, a in enumerate(fm):
+            for t, g in enumerate(fpoly):
+                prod[j + t] += a * g
+        fm = [a % mod for a in prod]
+        bm = bm.mul_rational(ln - (m - 1) * ld, ld * m, R)
+        top = top.mul_rational(ln + (1 - m - n) * ld, ln + (1 - m) * ld, R)
+        i_hi = (J - m) // c
+        i_lo = max(0, -((m * q - J) // c))
+        inner = PadicNumber.zero(p, R)
+        b = top
+        for i in range(n, i_lo - 1, -1):
+            if i <= i_hi:
+                a = fm[J - m - c * i]
+                if a:
+                    inner = inner + b.mul_rational(-a if i % 2 else a, 1, R)
+            if i > i_lo:
+                b = b.mul_rational(i * ld, ln - (m + i - 1) * ld, R)
+        S = S + (bm * inner).mul_rational(p**m, 1, R)
+    return S.mul_rational(-ld, dnum, R)
+
+
+def route_targets():
+    """(p, q, k, d, n): every release row, then small and mid-size n for the
+    route cases."""
+    for p, f, k, d, levels in RELEASE_FAMILIES:
+        fam = Family(p, p**f, k, d)
+        for N in levels:
+            yield p, fam.q, fam.k_norm, fam.q + 1, fam.index(N).n
+    for p, q, k, d in ROUTE_CASES:
+        for n in (1, 2, 3, 7, 12, 40, 333):
+            yield p, q, k, d, n
+
+
+class TestSeriesKernel:
+    @pytest.mark.parametrize("prec", [2, 5, 20, 60])
+    def test_same_value_as_the_padic_step_loop(self, prec):
+        for case in route_targets():
+            want = reference_phi(*case, prec)._key()
+            assert phi_series_coefficient(*case, prec)._key() == want, (case, prec)
+
+    def test_a_fixed_number_of_inverses_per_m(self, monkeypatch):
+        inverses = []
+
+        def counting_pow(x, e, m=None):
+            if e == -1:
+                inverses.append(m)
+            return pow(x, e, m)
+
+        monkeypatch.setattr(zeta, "pow", counting_pow, raising=False)
+        monkeypatch.setattr(padics, "pow", counting_pow, raising=False)
+        for p, q, k, d, n in [(3, 3, 1, 4, 456), (3, 3, 1, 4, 36906), (2, 2, 1, 3, 342), (5, 5, 2, 3, 40)]:
+            prec = 60
+            lam = F(k, d)
+            dnum = (q - 1) * n * lam.denominator - q * lam.numerator
+            P = prec + vp_int(dnum, p)
+            inverses.clear()
+            phi_series_coefficient(p, q, k, d, n, prec)
+            # padic_binom, then per m: binom(lam, m), the top binomial, the
+            # inner sum and the p^m scale, then the division by D
+            assert inverses.count(p ** (P + 1)) <= 4 * min(P, (q - 1) * n + 1) + 2, (p, q, k, d, n)
 
 
 class TestProfile:
