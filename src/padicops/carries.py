@@ -54,13 +54,15 @@ class CarryProfile:
     L: int | float
     noncarries: tuple[int, ...]  # N_j for j = 0..m
 
+    def __post_init__(self):
+        # a finite L ends the carrying: gamma_(L-1) = 1, and no carry at or past L
+        L, g = self.L, self.gammas
+        if L != INF and not (0 <= L <= len(g) and (L == 0 or g[L - 1] == 1) and 1 not in g[L:]):
+            raise CheckFailed(f"L = {L} is not where the carrying in {self.lam} + {self.n} stops")
+
     def carries_total(self) -> int | float:
         """Total number of carries; INF when carrying never stops."""
-        if self.L == INF:
-            return INF
-        if len(self.gammas) < self.L:
-            raise CheckFailed(f"{len(self.gammas)} carry bits resolved, fewer than L = {self.L}")
-        return sum(self.gammas)
+        return INF if self.L == INF else sum(self.gammas)
 
 
 def carry_profile(lam: Rational, n: int, m: int, p: int) -> CarryProfile:

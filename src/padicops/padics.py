@@ -308,9 +308,15 @@ def padic_binom(lam: Rational, n: int, p: int, prec: int = DEFAULT_PREC) -> Padi
 
 
 def binom_rational(lam: Rational, n: int) -> Fraction:
-    """Exact rational binom(lam, n); the independent oracle for padic_binom."""
+    """Exact rational binom(lam, n); the independent oracle for padic_binom.
+
+    For lam = a/b it is prod_{i=0..n-1} (a - i b) / (b^n n!): one integer
+    numerator, one integer denominator and one Fraction.
+    """
     lam = Fraction(lam)
-    out = Fraction(1)
-    for i in range(1, n + 1):
-        out *= Fraction(lam - i + 1, i)
-    return out
+    a, b = lam.numerator, lam.denominator
+    num = den = 1
+    for i in range(n):
+        num *= a - i * b
+        den *= (i + 1) * b
+    return Fraction(num, den)

@@ -53,9 +53,13 @@ class IntegerNumerators:
     _normal_form = staticmethod(reduce_content)
 
     def __init__(self, coeffs: Iterable[Rational] = ()):
-        cs = [Fraction(c) for c in coeffs]
-        den = lcm(*(c.denominator for c in cs))
-        num, den = self._normal_form([c.numerator * (den // c.denominator) for c in cs], den)
+        cs = list(coeffs)
+        if all(type(c) is int for c in cs):  # already over den 1 (a bool still takes Fraction)
+            num, den = self._normal_form(cs, 1)
+        else:
+            cs = [Fraction(c) for c in cs]
+            den = lcm(*(c.denominator for c in cs))
+            num, den = self._normal_form([c.numerator * (den // c.denominator) for c in cs], den)
         _set_num(self, num)
         _set_den(self, den)
 

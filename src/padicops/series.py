@@ -123,11 +123,13 @@ class QSeries(IntegerNumerators):
     def __pow__(self, n: int) -> QSeries:
         if n < 0:
             return self.inverse() ** (-n)
-        out, base = QSeries.one(self.order), self
+        out, base = (None if n else QSeries.one(self.order)), self
         while n:
             if n & 1:
-                out = out * base
-            base, n = base * base, n >> 1
+                out = base if out is None else out * base
+            n >>= 1
+            if n:  # no square past the top bit
+                base = base * base
         return out
 
 

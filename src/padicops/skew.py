@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .padics import varpi_m_valuation, vp_factorial
-from .ratfun import Poly, Rational, RationalFunction
+from .ratfun import Poly, Rational, RationalFunction, _raw_rf
 
 RF = RationalFunction
 DEFAULT_WINDOW = 40  # default K_neg = K_pos
@@ -125,6 +125,19 @@ class SkewLaurentSeries:
         )
 
 
+def _numerators(*windows: SkewLaurentSeries) -> tuple[list[Mapping[int, RF | Poly]], bool]:
+    """Each window's coefficient map, and whether the maps hold the Poly
+    numerators: they do when no coefficient of any window has a pole."""
+    if any(c.den_factors for w in windows for c in w.coeffs.values()):
+        return [w.coeffs for w in windows], False
+    return [{k: c.num for k, c in w.coeffs.items()} for w in windows], True
+
+
+def _as_rf(out: dict[int, RF | Poly], pole_free: bool) -> dict[int, RF]:
+    """The loop's output coefficients as RationalFunctions."""
+    return {k: _raw_rf(c, ()) for k, c in out.items()} if pole_free else out
+
+
 def star(
     u: SkewLaurentSeries, v: SkewLaurentSeries, lo: int | None = None, hi: int | None = None
 ) -> SkewLaurentSeries:
@@ -145,6 +158,9 @@ def star(
     clipped at `lo`, and hi_exact only if no pair was cut at `hi`; it
     inherits hi/lo exactness of the inputs.  With `hi` set, the stored
     coefficients are those of the uncut product in degrees <= hi.
+
+    When no coefficient of u or v has a pole, the loop runs on their Poly
+    numerators and each output coefficient is wrapped back as a pole-free RF.
     """
     if u.is_zero() or v.is_zero():
         return SkewLaurentSeries.zero()
@@ -153,13 +169,14 @@ def star(
         lo = v.lo() if u.lo() >= 0 else u.lo() + v.lo() - DEFAULT_WINDOW
     if hi is not None and hi < lo:
         raise ValueError(f"empty window: hi = {hi} < lo = {lo}")
-    out: dict[int, RF] = {}
+    (uc, vc), pole_free = _numerators(u, v)
+    out: dict[int, RF | Poly] = {}
     clipped = cut = False
     # derivs[j][m] = delta^m(v_j), grown only as far as some pair needs it
-    derivs = {j: [vj] for j, vj in v.coeffs.items()}
-    for i, ui in u.coeffs.items():
+    derivs = {j: [vj] for j, vj in vc.items()}
+    for i, ui in uc.items():
         # inner[k] = sum_m binom(i, m) delta^m(v_(k-i+m)): v's poles only
-        inner: dict[int, RF] = {}
+        inner: dict[int, RF | Poly] = {}
         for j, dj in derivs.items():
             m = 0 if hi is None or i + j <= hi else i + j - hi
             cut = cut or m > 0
@@ -186,7 +203,7 @@ def star(
                 out[k] = out[k] + term if k in out else term
     lo_exact = u.lo_exact and v.lo_exact and not clipped
     hi_exact = u.hi_exact and v.hi_exact and not cut
-    return SkewLaurentSeries(out, lo_exact, hi_exact)
+    return SkewLaurentSeries(_as_rf(out, pole_free), lo_exact, hi_exact)
 
 
 def apply_to_function(u: SkewLaurentSeries, f: RF | Poly | Rational) -> RF:
@@ -204,11 +221,15 @@ def apply_to_function(u: SkewLaurentSeries, f: RF | Poly | Rational) -> RF:
 
 
 def transpose(u: SkewLaurentSeries) -> SkewLaurentSeries:
-    """The anti-automorphism with a^T = a, D^T = -D; requires a nonnegative window."""
+    """The anti-automorphism with a^T = a, D^T = -D; requires a nonnegative window.
+
+    A pole-free window runs the loop on its Poly numerators, as in `star`.
+    """
     if u.lo() < 0:
         raise ValueError("transpose needs a nonnegative window")
-    out: dict[int, RF] = {}
-    for j, aj in u.coeffs.items():
+    (uc,), pole_free = _numerators(u)
+    out: dict[int, RF | Poly] = {}
+    for j, aj in uc.items():
         # (a_j D^j)^T = (-1)^j D^j * a_j = (-1)^j sum_k binom(j, j-k) delta^(j-k)(a_j) D^k
         d = aj
         for k in range(j, -1, -1):
@@ -218,7 +239,7 @@ def transpose(u: SkewLaurentSeries) -> SkewLaurentSeries:
                 out[k] = out[k] + term if k in out else term
             if k:
                 d = d.derivative()
-    return SkewLaurentSeries(out, u.lo_exact, u.hi_exact)
+    return SkewLaurentSeries(_as_rf(out, pole_free), u.lo_exact, u.hi_exact)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 from functools import cache
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from padicops import carries, padics
 from padicops.carries import (
+    CheckFailed,
     Family,
     SpecialIndex,
     argmin_term_valuation,
@@ -115,6 +117,17 @@ class TestCarryProfile:
     def test_non_integral_rejected(self):
         with pytest.raises(ValueError):
             carry_profile(F(1, 3), 2, 1, 3)
+
+    def test_an_L_that_does_not_end_the_carrying_is_a_failed_check(self):
+        # 2 + 7 in base 3 carries at positions 0 and 1 only: L = 2
+        prof = carry_profile(2, 7, 4, 3)
+        assert dataclasses.replace(prof, L=2) == prof
+        # L - 2 is what `L = j - 1` in place of `L = j + 1` in carry_profile gives
+        for L in (prof.L - 2, -1, 1, 3, len(prof.gammas) + 1):
+            with pytest.raises(CheckFailed, match=f"L = {L} "):
+                dataclasses.replace(prof, L=L)
+        # a carrying that never stops leaves L unchecked
+        assert carry_profile(-3, 5, 4, 2).L == INF
 
 
 class TestKummer:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -230,6 +231,23 @@ def test_failed_uniqueness_proof_is_a_fail_row(monkeypatch, capsys):
     assert [row["argmin_unique"] for row in report["rows"]] == [False, False]
     assert not any(row["ok"] for row in report["rows"])
     assert "carry count" in err and "Traceback" not in err
+
+
+def test_a_carry_profile_with_a_wrong_L_is_a_fail_row(monkeypatch, capsys):
+    # the profile that `L = j - 1` in place of `L = j + 1` builds
+    real = carries.carry_profile
+
+    def shifted(*args):
+        prof = real(*args)
+        return dataclasses.replace(prof, L=prof.L - 2) if prof.L != math.inf else prof
+
+    monkeypatch.setattr(carries, "carry_profile", shifted)
+    code = main(["qexp-check", "--p", "3", "--f", "1", "--k", "1", "--d", "4", "--N", "6"])
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert code == EXIT_MATH and report["verdict"] == "fail"
+    assert [row["ok"] for row in report["rows"]] == [False]
+    assert "is not where the carrying" in err and "Traceback" not in err
 
 
 def test_valuation_tie_is_a_fail_row(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import copy
+import math
 import os
 import pickle
 import random
@@ -349,6 +350,35 @@ BINOM_CASES = [
     (5, 9, 3), (5, 6, 2), (0, 3, 5), (5, 5, 3),
     (F(2, 7), 0, 5), (F(1, 4), 456, 3), (F(1, 3), 86, 2), (F(3, 4), 300, 3),
 ]
+
+
+def stepwise_binom(lam, n):
+    """binom(lam, n) as n Fraction products, the form binom_rational had first."""
+    lam = F(lam)
+    out = F(1)
+    for i in range(1, n + 1):
+        out *= F(lam - i + 1, i)
+    return out
+
+
+class TestBinomRational:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-10**6, 10**6), st.integers(1, 10**4), st.integers(0, 120))
+    def test_equals_the_stepwise_fraction_product(self, a, b, n):
+        assert binom_rational(F(a, b), n) == stepwise_binom(F(a, b), n)
+
+    def test_integer_lambda_is_math_comb(self):
+        for lam in range(0, 60):
+            for n in range(0, 70):
+                got = binom_rational(lam, n)
+                assert got == math.comb(lam, n) and got.denominator == 1
+
+    def test_vanishing_factor_and_empty_product(self):
+        for lam in range(0, 12):
+            for n in range(lam + 1, 20):
+                assert binom_rational(lam, n) == 0
+        for lam in (0, 5, -3, F(-2, 7), F(11, 4)):
+            assert binom_rational(lam, 0) == 1
 
 
 class TestPadicBinom:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padicops import ratfun
 from padicops.ratfun import (
     FirstOrderOperator,
     MobiusMap,
@@ -143,6 +144,27 @@ class TestIntegerKernel:
         for got, want in cases:
             assert_normal(got)
             assert got.coeffs == want
+
+    @given(cs=st.lists(st.integers(-10**30, 10**30) | st.just(0), max_size=7))
+    @settings(max_examples=200, deadline=None)
+    def test_integer_coefficients_skip_fraction(self, cs):
+        made = []
+        real = ratfun.Fraction
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(ratfun, "Fraction", lambda *a: made.append(a) or real(*a))
+            p = Poly(cs)
+        assert not made
+        assert_normal(p)
+        assert p == Poly([F(c) for c in cs]) and p.den == 1
+
+    def test_integer_trailing_zeros_and_bools_normalise(self):
+        p = Poly([3, 0, 1, 0, 0])
+        assert p == Poly([F(3), F(0), F(1)]) and p.num == (3, 0, 1)
+        assert Poly([0, 0]) == Poly([]) == Poly([F(0)])
+        # a bool is no int here: it takes the Fraction route and comes out an int
+        b = Poly([True, 2])
+        assert_normal(b)
+        assert b == Poly.of(1, 2) and b.num == (1, 2)
 
     @given(a=coeff_lists, r=roots)
     @settings(max_examples=200, deadline=None)

@@ -222,6 +222,30 @@ class TestQSeries:
         assert ((u * v) * w).coeffs == (u * (v * w)).coeffs
         assert (u * (v + w)).coeffs == (u * v + u * w).coeffs
 
+    def test_integer_coefficients_keep_the_length(self):
+        s = QSeries.of([1, 2, 0, 0])
+        assert s.order == 4 and s.num == (1, 2, 0, 0) and s.den == 1
+        assert s == QSeries.of([F(1), F(2), F(0), F(0)])
+        assert QSeries.of([0, 0, 0]) == QSeries.zero(3)
+        assert QSeries.of([3, 0, 1], 6).num == (3, 0, 1, 0, 0, 0)
+
+    def test_pow_makes_one_product_per_squaring_and_per_extra_bit(self, monkeypatch):
+        base = QSeries.of([1, F(1, 2), -3, 1], 8)
+        want = {0: QSeries.one(8)}
+        for n in range(1, 21):
+            want[n] = want[n - 1] * base
+        products = []
+        real = QSeries.__mul__
+        monkeypatch.setattr(QSeries, "__mul__", lambda a, b: products.append(1) or real(a, b))
+        for n in range(21):
+            products.clear()
+            assert base**n == want[n], n
+            expected = 0 if n == 0 else (n.bit_length() - 1) + (bin(n).count("1") - 1)
+            assert len(products) == expected, n
+        products.clear()
+        base**4
+        assert len(products) == 2
+
     def test_binomial_square_root(self):
         b = binomial_series(F(1, 2), 10)
         sq = b * b

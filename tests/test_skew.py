@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import random
@@ -8,6 +9,8 @@ from fractions import Fraction as F
 import pytest
 
 import padicops
+from padicops import skew
+from padicops.cli import main
 from padicops.padics import vp_rational
 from padicops.ratfun import MobiusMap, Poly, RationalFunction
 from padicops.skew import (
@@ -233,12 +236,16 @@ class TestStarProduct:
                 got, want = star(u, v), reference_star(u, v)
                 assert got.coeffs == want.coeffs
                 assert (got.lo_exact, got.hi_exact) == (want.lo_exact, want.hi_exact)
+            d, want = S.of({1: 1}), S({1: f, -1: -f.derivative().derivative()})
+            # the products run at the loop's coefficient type: Poly numerators
+            # for the pole-free f, RF for the two with poles
+            ring = RF if f.den_factors else Poly
             calls = []
-            mul = RF.__mul__
-            monkeypatch.setattr(RF, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
-            want = S({1: f, -1: -f.derivative().derivative()})
-            assert star(S.of({1: 1}), v) == want
+            mul = ring.__mul__
+            monkeypatch.setattr(ring, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+            got = star(d, v)
             monkeypatch.undo()
+            assert got == want
             assert len(calls) == len(want.coeffs)
 
     def test_ring_action_on_functions(self):
@@ -279,6 +286,60 @@ class TestTranspose:
         monkeypatch.setattr(RF, "derivative", lambda a: calls.append(1) or derivative(a))
         transpose(u)
         assert len(calls) == 0 + 1 + 3 + 4
+
+
+def count_rf_products_and_derivatives(monkeypatch) -> list:
+    calls = []
+    for name in ("__mul__", "derivative"):
+        real = getattr(RF, name)
+        monkeypatch.setattr(RF, name, lambda *a, real=real: calls.append(1) or real(*a))
+    return calls
+
+
+class TestPoleFreePath:
+    """Windows with no pole run star and transpose on their Poly numerators."""
+
+    def test_matches_the_reference_and_the_rf_path(self, monkeypatch):
+        pairs = [(rand_op(), rand_op()) for _ in range(40)]
+        pairs += [(rand_op(lo=-2), rand_op(lo=-1)) for _ in range(10)]
+        calls = count_rf_products_and_derivatives(monkeypatch)
+        got = [(star(u, v), star(u, v, hi=2), transpose(u) if u.lo() >= 0 else None) for u, v in pairs]
+        monkeypatch.undo()
+        assert not calls
+        # the same loop on RF coefficients, as windows with a pole take it
+        monkeypatch.setattr(skew, "_numerators", lambda *ws: ([w.coeffs for w in ws], False))
+        for (u, v), (full, cut, t) in zip(pairs, got):
+            want = reference_star(u, v)
+            checks = [(full, star(u, v)), (cut, star(u, v, hi=2))]
+            if t is not None:
+                checks.append((t, transpose(u)))
+            for got_w, rf_w in checks:
+                assert got_w == rf_w
+                assert (got_w.lo_exact, got_w.hi_exact) == (rf_w.lo_exact, rf_w.hi_exact)
+                assert all(type(c) is RF and c.den_factors == () for c in got_w.coeffs.values())
+            assert full == want and (full.lo_exact, full.hi_exact) == (want.lo_exact, want.hi_exact)
+            assert cut.coeffs == {k: c for k, c in want.coeffs.items() if k <= 2}
+
+    def test_one_pole_among_pole_free_coefficients_takes_the_rf_path(self, monkeypatch):
+        u = S({0: RF(Poly.of(1, 2)), 1: RF(Poly.of(3), {F(1, 2): 1}), 2: RF(Poly.of(0, 1))})
+        v = rand_op()
+        calls = count_rf_products_and_derivatives(monkeypatch)
+        uv, vu = star(u, v), star(v, u)
+        assert len(calls) > 0
+        calls.clear()
+        t = transpose(u)
+        assert len(calls) > 0
+        monkeypatch.undo()
+        assert uv == reference_star(u, v) and vu == reference_star(v, u)
+        assert transpose(t) == u and transpose(uv) == star(transpose(v), t)
+
+    def test_star_props_makes_no_rf_product_or_derivative(self, monkeypatch, capsys):
+        default = os.path.join(os.path.dirname(__file__), os.pardir, "default.toml")
+        calls = count_rf_products_and_derivatives(monkeypatch)
+        assert main(["star-props", "--config", default]) == 0
+        monkeypatch.undo()
+        assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+        assert not calls
 
 
 class TestApply:
