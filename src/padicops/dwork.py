@@ -129,6 +129,11 @@ def dwork_identities(q: int, trunc: int) -> DworkReport:
     return DworkReport(q, trunc, orders, tuple(failures))
 
 
+def euler(f: Poly, shift: Fraction) -> Poly:
+    """(x d/dx - shift) f: the x^n coefficient of f is scaled by n - shift."""
+    return Poly(c * (n - shift) for n, c in enumerate(f.coeffs))
+
+
 def frobenius_relation(q: int, lam: Fraction | int, i: int, trunc: int) -> DworkReport:
     """The descent relation behind pulling x D - lam through the projector:
 
@@ -145,13 +150,6 @@ def frobenius_relation(q: int, lam: Fraction | int, i: int, trunc: int) -> Dwork
     H = dwork_build(q, trunc)
     failures: list[str] = []
     orders = tuple(range(i, trunc - q + 1))
-
-    def euler(f: Poly, shift: Fraction) -> Poly:
-        # (x d/dx - shift) acting on a polynomial
-        out = Poly(())
-        for n, c in enumerate(f.coeffs):
-            out = out + Poly.of(*([0] * n + [c * (n - shift)]))
-        return out
 
     for j in orders:
         xj_i = Poly.of(*([0] * (j - i) + [1]))

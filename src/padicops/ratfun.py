@@ -42,7 +42,19 @@ def _normal(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
     return reduce_content(num, den)
 
 
-class IntegerNumerators:
+class _Immutable:
+    """Slots are set once, through their descriptors; then nothing changes."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+
+class IntegerNumerators(_Immutable):
     """Rational coefficients num[i] / den over one denominator, the base of
     `Poly` and `series.QSeries`.  Normal form: den > 0, gcd(content, den) = 1
     and den = 1 when all num[i] are 0, so equality and hashing compare
@@ -70,12 +82,6 @@ class IntegerNumerators:
         _set_num(out, num)
         _set_den(out, den)
         return out
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
     def __reduce__(self):
         return (self._raw, (self.num, self.den))
@@ -373,24 +379,29 @@ def _divisors(n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-class RationalFunction:
+class RationalFunction(_Immutable):
     """num / prod (x - r)^m with num a polynomial and rational poles only.
 
     `den_factors` is the sorted tuple ((r, m), ...), all m > 0, of the monic
     denominator, and num does not vanish at any pole.  Poles come in as a
     root -> multiplicity map.  Only the constructor, `+` and `*` can meet a
-    common factor, so only they cancel.
+    common factor, so only they cancel; `+` and `*` test only the poles where
+    a reduced operand leaves room for it.  Immutable, as Poly is.
     Zeros are factored out of num when `divisor` or `inverse` needs them.
     """
 
     __slots__ = ("num", "den_factors")
 
     def __init__(self, num: Poly, poles: Mapping[Rational, int] | None = None):
-        factors = sorted((Fraction(r), m) for r, m in (poles or {}).items() if m)
-        if any(m < 0 for _, m in factors):
+        factors = sorted((Fraction(r), m, True) for r, m in (poles or {}).items() if m)
+        if any(m < 0 for _, m, _ in factors):
             raise ValueError("negative pole multiplicity")
         reduced = _reduced(num, factors)
-        self.num, self.den_factors = reduced.num, reduced.den_factors
+        _set_rf_num(self, reduced.num)
+        _set_den_factors(self, reduced.den_factors)
+
+    def __reduce__(self):
+        return (_raw_rf, (self.num, self.den_factors))
 
     # -- constructors ------------------------------------------------------
 
@@ -440,11 +451,13 @@ class RationalFunction:
     def __add__(self, other: RationalFunction) -> RationalFunction:
         a, b = self.den_factors, other.den_factors
         if a == b:
-            return _reduced(self.num + other.num, a)
+            return _reduced(self.num + other.num, [(r, m, True) for r, m in a])
         merged = tuple(_zip_factors(a, b))
         ca = tuple((r, n - m) for r, m, n in merged if n > m)
         cb = tuple((r, m - n) for r, m, n in merged if m > n)
-        common = [(r, max(m, n)) for r, m, n in merged]
+        # at a root of unequal multiplicities only the side with the lower one
+        # has a cofactor that vanishes there, so the sum does not: no cancelling
+        common = [(r, max(m, n), m == n) for r, m, n in merged]
         # a side whose poles already cover the sum's has the cofactor 1
         num_a = self.num * expand_factors(ca) if ca else self.num
         num_b = other.num * expand_factors(cb) if cb else other.num
@@ -457,7 +470,8 @@ class RationalFunction:
         return self + (-other)
 
     def __mul__(self, other: RationalFunction) -> RationalFunction:
-        poles = [(r, m + n) for r, m, n in _zip_factors(self.den_factors, other.den_factors)]
+        # a pole of both factors stays: neither numerator vanishes there
+        poles = [(r, m + n, not (m and n)) for r, m, n in _zip_factors(self.den_factors, other.den_factors)]
         return _reduced(self.num * other.num, poles)
 
     def inverse(self) -> RationalFunction:
@@ -519,21 +533,27 @@ class RationalFunction:
         return {a: e for a, e in out.items() if e}
 
 
+_set_rf_num, _set_den_factors = (RationalFunction.__dict__[name].__set__ for name in ("num", "den_factors"))
+
+
 def _raw_rf(num: Poly, den_factors: Factors) -> RationalFunction:
     """A function from a reduced num and sorted den_factors, kept as given."""
     out = object.__new__(RationalFunction)
-    out.num, out.den_factors = num, den_factors
+    _set_rf_num(out, num)
+    _set_den_factors(out, den_factors)
     return out
 
 
-def _reduced(num: Poly, factors: Iterable[tuple[Fraction, int]]) -> RationalFunction:
-    """num over the sorted factors, each (x - r) cancelled while num(r) = 0."""
+def _reduced(num: Poly, factors: Iterable[tuple[Fraction, int, bool]]) -> RationalFunction:
+    """num over the sorted factors (r, m, may_cancel): where may_cancel is
+    set, (x - r) is cancelled while num(r) = 0; elsewhere num(r) != 0 is known."""
     if num.is_zero():
         return _ZERO_RF
     kept = []
-    for r, m in factors:
-        while m and num.is_root(r):
-            num, m = num.synth_div(r)[0], m - 1
+    for r, m, may_cancel in factors:
+        if may_cancel:
+            while m and num.is_root(r):
+                num, m = num.synth_div(r)[0], m - 1
         if m:
             kept.append((r, m))
     return _raw_rf(num, tuple(kept))

@@ -5,9 +5,11 @@ level-m divided-power bases.
 An operator is a finite sum a_j * D^j (D = d/dx, j in Z).  Products follow
 the bidirectional convolution
 
-    (u * v)_k = sum_i u_i sum_m binom(i, m) delta^m(v_{k-i+m}),
+    (u * v)_k = sum_i u_i sum_m binom(i, m) delta^m(v_{k-i+m}).
 
-which `star` evaluates as written: one product u_i times an inner sum per degree.
+For i >= 0 the inner sum is the D^k coefficient of D^i * v, which `star`
+steps one D at a time (the Ore relation D a = a D + delta(a)); for i < 0 it
+sums the binomial terms.  Either way u_i multiplies one inner sum per degree.
 Negative powers of D make true products infinite in the negative direction,
 so every series records whether its stored support is complete on each side
 (`lo_exact` / `hi_exact`).
@@ -144,23 +146,16 @@ def star(
     """Star product of two stored windows, computed exactly.
 
     The (i, j) coefficient pair contributes binom(i, i+j-k) u_i delta^(i+j-k)(v_j)
-    to degree k.  As in the module docstring, the terms of one i and k are
-    summed first, with v's poles only, and u_i multiplies each nonzero inner
-    sum once.  For i >= 0 the binomial truncates the inner sum; for i < 0 it
-    never does, and `lo` cuts the computation (defaulting to the input windows'
-    lower edge minus the default window size).  `hi`, when given, is an upper
-    cut: a pair starts at m = max(0, i + j - hi), so no coefficient above `hi`
-    is formed; a `hi` below `lo` leaves no window and raises ValueError.  Each
-    delta^m(v_j) is computed once and shared by every i.
-
-    Exactness: the inner sums visit the (i, j, m) terms a pair-by-pair sum
-    would, so the result is marked lo_exact only if no contribution was
-    clipped at `lo`, and hi_exact only if no pair was cut at `hi`; it
-    inherits hi/lo exactness of the inputs.  With `hi` set, the stored
-    coefficients are those of the uncut product in degrees <= hi.
-
-    When no coefficient of u or v has a pole, the loop runs on their Poly
-    numerators and each output coefficient is wrapped back as a pole-free RF.
+    to degree k.  u is split by the sign of i and the two outputs are added
+    (`_star_nonnegative`, `_star_negative`).  `lo` cuts the computation
+    (defaulting to v's lower edge for nonnegative u, else to the windows'
+    lower edge minus the default window size).  `hi`, when given, is an
+    upper cut: no coefficient above it is formed; one below `lo` raises
+    ValueError.  The result is lo_exact only if no nonzero term fell below
+    `lo`, and hi_exact only if no pair was cut at `hi` (max i + max j > hi);
+    it inherits the inputs' exactness.  When no coefficient of u or v has a
+    pole, the loops run on the Poly numerators and each output coefficient
+    is wrapped back as a pole-free RF.
     """
     if u.is_zero() or v.is_zero():
         return SkewLaurentSeries.zero()
@@ -170,19 +165,79 @@ def star(
     if hi is not None and hi < lo:
         raise ValueError(f"empty window: hi = {hi} < lo = {lo}")
     (uc, vc), pole_free = _numerators(u, v)
+    pos = {i: ui for i, ui in uc.items() if i >= 0}
+    neg = {i: ui for i, ui in uc.items() if i < 0}
     out: dict[int, RF | Poly] = {}
-    clipped = cut = False
+    clipped = False
+    if pos:
+        out, clipped = _star_nonnegative(pos, vc, lo, hi)
+    if neg:
+        out_neg, clipped_neg = _star_negative(neg, vc, lo, hi)
+        for k, c in out_neg.items():
+            out[k] = out[k] + c if k in out else c
+        clipped = clipped or clipped_neg
+    cut = hi is not None and u.hi() + v.hi() > hi
+    lo_exact = u.lo_exact and v.lo_exact and not clipped
+    hi_exact = u.hi_exact and v.hi_exact and not cut
+    return SkewLaurentSeries(_as_rf(out, pole_free), lo_exact, hi_exact)
+
+
+def _star_nonnegative(uc: Mapping[int, RF | Poly], vc: Mapping[int, RF | Poly], lo: int, hi: int | None):
+    """sum_i u_i P_i in degrees lo..hi for i >= 0, and whether a term was
+    clipped at lo.  P_0 = v and P_i = D * P_(i-1), stepped by
+    D a D^k = a D^(k+1) + delta(a) D^k.  D only raises degrees, so P_i is
+    kept at degrees <= hi, and in full below lo, which P_i[lo] reads."""
+    out: dict[int, RF | Poly] = {}
+    P = {k: c for k, c in vc.items() if hi is None or k <= hi}
+    for i in range(max(uc) + 1):
+        if i:
+            nxt: dict[int, RF | Poly] = {}
+            for k, c in P.items():
+                d = c.derivative()
+                if not d.is_zero():
+                    nxt[k] = nxt[k] + d if k in nxt else d
+                if hi is None or k < hi:
+                    nxt[k + 1] = nxt[k + 1] + c if k + 1 in nxt else c
+            P = {k: c for k, c in nxt.items() if not c.is_zero()}
+            if not P:
+                break
+        ui = uc.get(i)
+        if ui is not None:
+            for k, c in P.items():
+                if k >= lo:
+                    term = ui * c
+                    out[k] = out[k] + term if k in out else term
+    # the term delta^m(v_j) D^(i+j-m), m <= i, falls below lo only for j < lo,
+    # and first at m = max(0, i + j - lo + 1), which the least i makes smallest
+    i0 = min(uc)
+    clipped = any(j < lo and _survives(c, max(0, i0 + j - lo + 1)) for j, c in vc.items())
+    return out, clipped
+
+
+def _survives(c: RF | Poly, m: int) -> bool:
+    """delta^m(c) != 0 for c != 0: a pole survives every derivative."""
+    if isinstance(c, RF):
+        if c.den_factors:
+            return True
+        c = c.num
+    return c.degree() >= m
+
+
+def _star_negative(uc: Mapping[int, RF | Poly], vc: Mapping[int, RF | Poly], lo: int, hi: int | None):
+    """sum_i u_i D^i * v for i < 0 in degrees lo..hi, and whether a term was
+    clipped at lo.  Each delta^m(v_j) is computed once and shared by every i,
+    each binom(i, m) once per (i, m)."""
+    out: dict[int, RF | Poly] = {}
+    clipped = False
     # derivs[j][m] = delta^m(v_j), grown only as far as some pair needs it
     derivs = {j: [vj] for j, vj in vc.items()}
     for i, ui in uc.items():
+        binoms: list[int] = []  # binom(i, m) != 0 for i < 0
         # inner[k] = sum_m binom(i, m) delta^m(v_(k-i+m)): v's poles only
         inner: dict[int, RF | Poly] = {}
         for j, dj in derivs.items():
             m = 0 if hi is None or i + j <= hi else i + j - hi
-            cut = cut or m > 0
             while True:
-                if i >= 0 and m > i:
-                    break
                 while m >= len(dj):
                     dj.append(dj[-1].derivative())
                 d = dj[m]
@@ -192,18 +247,17 @@ def star(
                 if k < lo:
                     clipped = True
                     break
-                b = zbinom(i, m)
-                if b:
-                    term = d if b == 1 else d.scale(b)
-                    inner[k] = inner[k] + term if k in inner else term
+                while m >= len(binoms):
+                    binoms.append(zbinom(i, len(binoms)))
+                b = binoms[m]
+                term = d if b == 1 else d.scale(b)
+                inner[k] = inner[k] + term if k in inner else term
                 m += 1
         for k, s in inner.items():
             if not s.is_zero():
                 term = ui * s
                 out[k] = out[k] + term if k in out else term
-    lo_exact = u.lo_exact and v.lo_exact and not clipped
-    hi_exact = u.hi_exact and v.hi_exact and not cut
-    return SkewLaurentSeries(_as_rf(out, pole_free), lo_exact, hi_exact)
+    return out, clipped
 
 
 def apply_to_function(u: SkewLaurentSeries, f: RF | Poly | Rational) -> RF:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .cheeses import gauss_valuation
 from .padics import INF, binom_rational, varpi_valuation, vp_factorial, vp_rational
@@ -24,6 +25,7 @@ from .skew import SkewLaurentSeries, apply_to_function, star
 
 RF = RationalFunction
 DEPTH_SLACK = 6  # degrees the micro-inverse products keep below the window
+H_MEMO_SIZE = 64  # h-sequences kept by h_sequence; cocycle-check meets about 21
 
 
 @dataclass(frozen=True)
@@ -39,8 +41,13 @@ class TwistData:
         return len(self.h) - 1
 
 
+@lru_cache(maxsize=H_MEMO_SIZE)
 def h_sequence(u: RF, d: int, depth: int, p: int | None = None) -> TwistData:
-    """Coefficients h[0..depth] of the twist by (u, d); requires p coprime to d."""
+    """Coefficients h[0..depth] of the twist by (u, d); requires p coprime to d.
+
+    Memoised per (u, d, depth, p): cocycle-check meets each unit many times,
+    and TwistData and its RationalFunctions are immutable.
+    """
     if u.is_zero():
         raise ValueError("u must be a unit")
     if p is not None and d % p == 0:

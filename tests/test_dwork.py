@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -6,6 +7,7 @@ from padicops.dwork import (
     dwork_build,
     dwork_coefficients,
     dwork_identities,
+    euler,
     frobenius_relation,
 )
 from padicops.ratfun import Poly
@@ -72,3 +74,20 @@ class TestIdentities:
         with pytest.raises(ValueError):
             frobenius_relation(2, 0, 2, 12)
 
+
+def monomial_euler(f, shift):
+    """(x d/dx - shift) f as the monomial sum it was first written as."""
+    out = Poly(())
+    for n, c in enumerate(f.coeffs):
+        out = out + Poly.of(*([0] * n + [c * (n - shift)]))
+    return out
+
+
+def test_euler_builds_one_polynomial_equal_to_the_monomial_sum():
+    r = random.Random(5)
+    for _ in range(200):
+        f = Poly(F(r.randint(-9, 9), r.randint(1, 6)) for _ in range(r.randint(0, 12)))
+        shift = r.choice([0, r.randint(-5, 12), F(r.randint(-20, 20), r.randint(1, 7))])
+        assert euler(f, shift) == monomial_euler(f, shift)
+    # the shift can kill a coefficient, the top one included
+    assert euler(Poly.of(1, 2, 3), 2) == Poly.of(-2, -2)

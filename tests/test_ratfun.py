@@ -238,6 +238,20 @@ class TestIntegerKernel:
         for q in (p, Poly(())):
             for r in (pickle.loads(pickle.dumps(q)), copy.deepcopy(q), copy.copy(q)):
                 assert r == q and hash(r) == hash(q) and (r.num, r.den) == (q.num, q.den)
+        # RationalFunction likewise: h_sequence hands the same objects to every caller
+        u = RF(Poly.of(F(1, 2), 3), {F(2, 3): 2, -1: 1})
+        with pytest.raises(AttributeError):
+            u.num = Poly.of(1)
+        with pytest.raises(AttributeError):
+            u.den_factors = ()
+        with pytest.raises(AttributeError):
+            u.extra = 1
+        with pytest.raises(AttributeError):
+            del u.num
+        for q in (u, RF.const(0), RF.x(), -u, u * u):
+            for r in (pickle.loads(pickle.dumps(q)), copy.deepcopy(q), copy.copy(q)):
+                assert type(r) is RF and r == q and hash(r) == hash(q)
+                assert (r.num, r.den_factors) == (q.num, q.den_factors)
 
 
 small_roots = st.fractions(min_value=-6, max_value=6, max_denominator=3)
@@ -252,6 +266,75 @@ def functions_with_poles(draw):
         num = num * Poly.x_minus(z) ** e
     poles = draw(st.dictionaries(small_roots, st.integers(1, 3), min_size=1, max_size=3))
     return RF(num, poles)
+
+
+def merged_poles(u, v):
+    poles = dict(u.den_factors)
+    for r, m in v.den_factors:
+        poles[r] = poles.get(r, 0) + m
+    return poles
+
+
+def cancelled_sum(u, v):
+    """u + v over the product of the denominators, through the cancelling constructor."""
+    num = u.num * ratfun.expand_factors(v.den_factors) + v.num * ratfun.expand_factors(u.den_factors)
+    return RF(num, merged_poles(u, v))
+
+
+def cancelled_product(u, v):
+    return RF(u.num * v.num, merged_poles(u, v))
+
+
+@st.composite
+def pairs_sharing_poles(draw):
+    """(u, v): v has poles at some of u's, at equal or unequal multiplicity,
+    and zeros that may sit on u's poles."""
+    u = draw(functions_with_poles().filter(lambda u: u.den_factors))
+    roots = [r for r, _ in u.den_factors]
+    num = Poly.const(draw(small_fracs.filter(bool)))
+    for z in draw(st.lists(st.sampled_from(roots) | small_roots, max_size=2)):
+        num = num * Poly.x_minus(z)
+    poles = {r: draw(st.sampled_from([m, m, m + 1, max(m - 1, 0), 0])) for r, m in u.den_factors}
+    poles.update(draw(st.dictionaries(small_roots.filter(lambda a: a not in poles), st.integers(1, 2), max_size=1)))
+    return u, RF(num, poles)
+
+
+class TestCancellation:
+    """`+` and `*` test only the poles where a reduced operand can cancel."""
+
+    @given(pair=pairs_sharing_poles())
+    @settings(max_examples=150, deadline=None)
+    def test_sums_and_products_equal_the_cancelling_constructor(self, pair):
+        u, v = pair
+        assert u + v == cancelled_sum(u, v) == v + u
+        assert u - v == cancelled_sum(u, -v)
+        assert u * v == cancelled_product(u, v) == v * u
+        # a difference that cancels every pole of u and v
+        w = cancelled_sum(u, v)
+        assert w - v == u and w - u == v
+
+    def test_planted_cancellations(self):
+        x, one = RF.x(), RF.const(1)
+        inv1 = RF(Poly.of(1), {1: 1})
+        assert x * inv1 - inv1 == one
+        assert RF(Poly.of(-1, 1), {2: 1}) * inv1 == RF(Poly.of(1), {2: 1})
+        s = inv1 * inv1 + inv1
+        assert s == RF(Poly.of(0, 1), {1: 2}) and s.den_factors == ((F(1), 2),)
+
+    def test_poles_that_cannot_cancel_are_not_tested(self, monkeypatch):
+        a, b, c = RF(Poly.of(1, 1), {1: 1, 3: 1}), RF(Poly.of(2), {1: 2, 3: 1}), RF(Poly.of(-1, 1))
+        calls = []
+        is_root = Poly.is_root
+        monkeypatch.setattr(Poly, "is_root", lambda p, r: calls.append(r) or is_root(p, r))
+        a + b  # unequal at 1, equal at 3
+        assert calls == [F(3)]
+        calls.clear()
+        a * b  # poles of both factors
+        assert calls == []
+        prod = a * c  # poles of one factor only: (x - 1) cancels once
+        assert calls == [F(1), F(3)]
+        monkeypatch.undo()
+        assert prod == RF(Poly.of(1, 1), {3: 1})
 
 
 class TestRationalFunction:

@@ -95,6 +95,39 @@ def reference_star(u, v, lo=None):
     return S(out, u.lo_exact and v.lo_exact and not clipped, u.hi_exact and v.hi_exact)
 
 
+def blocked_star(u, v, lo=None, hi=None):
+    """The star product as the binomial loop wrote it for every i: the terms
+    of one i and k are summed first, one binom(i, m) per (i, j, m) term."""
+    if u.is_zero() or v.is_zero():
+        return S.zero()
+    if lo is None:
+        lo = v.lo() if u.lo() >= 0 else u.lo() + v.lo() - 40
+    out = {}
+    clipped = cut = False
+    derivs = {j: [vj] for j, vj in v.coeffs.items()}
+    for i, ui in u.coeffs.items():
+        inner = {}
+        for j, dj in derivs.items():
+            m = 0 if hi is None or i + j <= hi else i + j - hi
+            cut = cut or m > 0
+            while not (i >= 0 and m > i):
+                while m >= len(dj):
+                    dj.append(dj[-1].derivative())
+                if dj[m].is_zero():
+                    break
+                k = i + j - m
+                if k < lo:
+                    clipped = True
+                    break
+                term = dj[m].scale(zbinom(i, m))
+                inner[k] = inner[k] + term if k in inner else term
+                m += 1
+        for k, sk in inner.items():
+            term = ui * sk
+            out[k] = out[k] + term if k in out else term
+    return S(out, u.lo_exact and v.lo_exact and not clipped, u.hi_exact and v.hi_exact and not cut)
+
+
 class TestStarProduct:
     def test_commutator_is_derivative(self):
         a, d = S.of({0: Poly.of(1, 2, 5)}), S.of({1: 1})
@@ -176,11 +209,15 @@ class TestStarProduct:
         assert got.coeffs == want.coeffs and got.lo_exact == want.lo_exact
 
     def test_upper_cut_matches_the_restricted_reference_on_laurent_windows(self):
+        # mixed-sign u, Laurent v, lo above v's lower edge: both halves of
+        # star, on RF windows with poles and on pole-free ones
         r = random.Random(11)
-        for _ in range(120):
-            u = rand_rf_op(r, r.randint(-6, 2))
-            v = rand_rf_op(r, r.randint(-6, 2))
-            lo = r.choice([None, r.randint(-16, 2)])
+        for _ in range(240):
+            if r.random() < 0.5:
+                u, v = rand_rf_op(r, r.randint(-6, 2)), rand_rf_op(r, r.randint(-6, 2))
+            else:
+                u, v = rand_op(5, 3, lo=r.randint(-6, 2)), rand_op(5, 3, lo=r.randint(-6, 2))
+            lo = r.choice([None, r.randint(-16, 2), v.lo() + r.randint(1, 4)])
             hi = r.randint(-10, 8)
             self._check_cut(u, v, lo, hi)
 
@@ -208,6 +245,22 @@ class TestStarProduct:
         uncut = star(u, v, lo, hi=None)
         assert uncut.coeffs == want.coeffs
         assert (uncut.lo_exact, uncut.hi_exact) == (want.lo_exact, want.hi_exact)
+        for new, old in ((got, blocked_star(u, v, lo, hi)), (uncut, blocked_star(u, v, lo))):
+            assert new.coeffs == old.coeffs
+            assert (new.lo_exact, new.hi_exact) == (old.lo_exact, old.hi_exact)
+
+    def test_clipping_below_lo_follows_the_surviving_derivatives(self):
+        # D^i * a D^j reaches D^(j+i-m) with delta^m(a) for m <= i: a lo above j
+        # clips only if a nonzero derivative lands below it
+        x2 = S.of({-2: Poly.of(0, 0, 1)})  # x^2 D^-2: delta^3(x^2) = 0
+        for i, lo, clipped in [(1, -1, True), (1, -2, False), (0, -1, True), (2, -1, True),
+                               (3, -1, False), (3, 0, True), (4, 0, False), (4, 1, True)]:
+            got = star(S.of({i: 1}), x2, lo=lo)
+            assert got.lo_exact is not clipped, (i, lo)
+            assert got == blocked_star(S.of({i: 1}), x2, lo=lo)
+        pole = S({-2: RF(Poly.of(1), {0: 1})})  # a pole never dies out
+        assert not star(S.of({3: 1}), pole, lo=0).lo_exact
+        assert star(S.of({3: 1}), pole, lo=-2).lo_exact
 
     def test_one_product_per_left_coefficient_and_output_degree(self, monkeypatch):
         u = beta_build(MobiusMap.of(6, 5, 25, 1), 8)

@@ -1,6 +1,8 @@
+import json
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,7 @@ from padicops.cheeses import gauss_valuation
 from padicops.padics import vp_factorial
 from padicops.ratfun import MobiusMap, Poly, RationalFunction, relator
 from padicops import twists
+from padicops.cli import main
 from padicops.skew import SkewLaurentSeries, apply_to_function, star
 from padicops.twists import (
     beta_build,
@@ -52,6 +55,21 @@ class TestHSequence:
     def test_p_dividing_d_rejected(self):
         with pytest.raises(ValueError):
             h_sequence(x, 6, 4, 3)
+
+    def test_memo_returns_the_same_sequence_for_equal_units(self):
+        tw = h_sequence(RF.from_factors(2, {0: 1, 5: -2}), 3, 9, 5)
+        again = h_sequence(RF(Poly.of(0, 2), {5: 2}), 3, 9, 5)
+        assert again is tw and all(type(h) is RF for h in tw.h)
+        assert h_sequence(x, 3, 9, 5) is not h_sequence(x, 3, 8, 5)
+
+    def test_cocycle_check_builds_one_sequence_per_distinct_unit(self, capsys):
+        h_sequence.cache_clear()
+        default = Path(__file__).resolve().parent.parent / "default.toml"
+        assert main(["cocycle-check", "--config", str(default)]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+        info = h_sequence.cache_info()
+        # 25 samples of (u, uv, v) draw u from 9 units and v from 2
+        assert (info.hits + info.misses, info.misses) == (75, 21)
 
     def test_convolution_recurrence(self):
         # the alternative recurrence (l+1) h[l+1] = sum h[n] D^[l-n](h[1])
