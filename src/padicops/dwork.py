@@ -22,11 +22,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .ratfun import Poly, RationalFunction
 from .skew import SkewLaurentSeries, star
 
 RF = RationalFunction
+IMAGE_MEMO_SIZE = 256  # monomial images kept; dwork-check at default.toml builds 23
 
 
 @dataclass(frozen=True)
@@ -47,19 +49,32 @@ class DworkOperator:
         )
 
     def apply_poly(self, f: Poly) -> Poly:
-        """Exact action on a polynomial of degree <= trunc."""
+        """Exact action on a polynomial of degree <= trunc, by linearity from
+        the images of its monomials (`monomial_image`)."""
         if f.degree() > self.trunc:
             raise ValueError("polynomial degree exceeds the truncation")
         out = Poly(())
-        d = f
-        for k, ck in enumerate(self.c):
-            if d.is_zero():
-                break
-            if ck:
-                xk = Poly.of(*([0] * k + [1]))
-                out = out + (xk * d).scale(Fraction(ck, math.factorial(k)))
-            d = d.derivative()
-        return out
+        for e, a in enumerate(f.num):
+            if a:
+                image = monomial_image(self.c, e)
+                out = out + (image if a == 1 else image.scale(a))
+        return out if f.den == 1 else out.scale(Fraction(1, f.den))
+
+
+@lru_cache(maxsize=IMAGE_MEMO_SIZE)
+def monomial_image(c: tuple[int, ...], e: int) -> Poly:
+    """H(x^e) for H = sum_k c_k x^k D^[k], from the derivative loop
+    sum_k (c_k/k!) x^k D^k(x^e); built once per (operator, degree)."""
+    out = Poly(())
+    d = Poly.of(*([0] * e + [1]))
+    for k, ck in enumerate(c):
+        if d.is_zero():
+            break
+        if ck:
+            xk = Poly.of(*([0] * k + [1]))
+            out = out + (xk * d).scale(Fraction(ck, math.factorial(k)))
+        d = d.derivative()
+    return out
 
 
 def dwork_coefficients(q: int, count: int) -> tuple[int, ...]:

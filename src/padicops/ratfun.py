@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Rational = Fraction | int
 
@@ -165,18 +165,13 @@ class Poly(IntegerNumerators):
         a, b = self.num, other.num
         if not a or not b:
             return _ZERO
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
-        return _make(out, self.den * other.den)
+        return _lead_nonzero(conv(a, b), self.den * other.den)
 
     def scale(self, a: Rational) -> Poly:
         n = a.numerator
         if not n or not self.num:
             return _ZERO
-        return _make([c * n for c in self.num], self.den * a.denominator)
+        return _lead_nonzero([c * n for c in self.num], self.den * a.denominator)
 
     def __pow__(self, n: int) -> Poly:
         out, base = (None if n else Poly.of(1)), self
@@ -220,7 +215,7 @@ class Poly(IntegerNumerators):
         num = self.num
         if len(num) <= 1:
             return _ZERO
-        return _make([i * c for i, c in enumerate(num) if i], self.den)
+        return _lead_nonzero(derive(num), self.den)
 
     def _horner(self, x: Rational) -> int:
         """den xd^n p(x) for x = xn/xd and n = deg p: an integer, zero iff p(x) is."""
@@ -277,6 +272,30 @@ _raw = Poly._raw
 
 def _make(num: list[int], den: int) -> Poly:
     return _raw(*_normal(num, den))
+
+
+def _lead_nonzero(num: list[int], den: int) -> Poly:
+    """A Poly from numerators whose last entry is nonzero: no strip, and no
+    gcd over den 1."""
+    return _raw(tuple(num), 1) if den == 1 else _raw(*reduce_content(num, den))
+
+
+def conv(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The coefficients of the product of two nonzero integer polynomials,
+    given by their coefficient lists; the outer loop runs over the shorter."""
+    if len(a) > len(b):
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def derive(a: Sequence[int]) -> list[int]:
+    """The coefficients of the derivative of an integer polynomial."""
+    return [i * c for i, c in enumerate(a) if i]
 
 
 _ZERO = _raw((), 1)

@@ -7,7 +7,7 @@ valuation work where exact numerators would explode.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 from typing import Iterable
 
 from .padics import PadicNumber, Rational
@@ -69,8 +69,12 @@ class QSeries(IntegerNumerators):
         return self + (-other)
 
     def __mul__(self, other: QSeries) -> QSeries:
-        """The truncated product: only the slots y^0 .. y^(order-1) are formed."""
+        """The truncated product: only the slots y^0 .. y^(order-1) are formed.
+        The outer loop runs over the factor with more zero slots (a series in
+        y^c has c - 1 of every c), and skips them."""
         a, b = self.num, other.num
+        if a.count(0) < b.count(0):
+            a, b = b, a
         n = min(len(a), len(b))
         out = [0] * n
         for i in range(n):
@@ -88,6 +92,14 @@ class QSeries(IntegerNumerators):
         """Multiply by y^k (k >= 0), keeping the order."""
         n = len(self.num)
         return _make([0] * min(k, n) + list(self.num[: max(n - k, 0)]), self.den)
+
+    def over_one_minus(self, stride: int) -> QSeries:
+        """f / (1 - y^stride) for stride >= 1, in O(order): the running sum
+        g_j = f_j + g_(j - stride)."""
+        g = list(self.num)
+        for j in range(stride, len(g)):
+            g[j] += g[j - stride]
+        return _make(g, self.den)
 
     def euler_derivative(self) -> QSeries:
         """y d/dy: multiplies the y^j coefficient by j."""
@@ -141,16 +153,24 @@ def _make(num: list[int], den: int) -> QSeries:
 
 
 def binomial_series(alpha: Rational, order: int, stride: int = 1) -> QSeries:
-    """(1 - y^stride)^alpha = sum binom(alpha, m)(-1)^m y^(stride m)."""
+    """(1 - y^stride)^alpha = sum binom(alpha, m)(-1)^m y^(stride m).
+
+    With alpha = a/b and M the last m below the order, every slot is an
+    integer over b^M M!: (-1)^m binom(alpha, m) = prod_(i<m) (i b - a) / (b^m m!).
+    """
+    if not order:
+        return QSeries.zero(0)
     alpha = Fraction(alpha)
-    out = [Fraction(0)] * order
-    b = Fraction(1)
-    m = 0
-    while m * stride < order:
-        out[m * stride] = b * (-1) ** m
-        b *= Fraction(alpha - m, m + 1)
-        m += 1
-    return QSeries(tuple(out))
+    a, b = alpha.numerator, alpha.denominator
+    top = (order - 1) // stride
+    prods = [1]  # prod_(i<m) (i b - a)
+    for i in range(top):
+        prods.append(prods[-1] * (i * b - a))
+    num, w = [0] * order, 1  # w = b^(M-m) M!/m!
+    for m in range(top, -1, -1):
+        num[m * stride] = prods[m] * w
+        w *= b * m
+    return _make(num, b**top * factorial(top))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ the bidirectional convolution
 For i >= 0 the inner sum is the D^k coefficient of D^i * v, which `star`
 steps one D at a time (the Ore relation D a = a D + delta(a)); for i < 0 it
 sums the binomial terms.  Either way u_i multiplies one inner sum per degree.
+When no coefficient has a pole, the i >= 0 steps and `transpose` run on
+plain integer lists, each window lifted once over one denominator.
 Negative powers of D make true products infinite in the negative direction,
 so every series records whether its stored support is complete on each side
 (`lo_exact` / `hi_exact`).
@@ -20,10 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .padics import varpi_m_valuation, vp_factorial
-from .ratfun import Poly, Rational, RationalFunction, _raw_rf
+from .ratfun import Poly, Rational, RationalFunction, _make, _raw_rf, conv, derive
 
 RF = RationalFunction
 DEFAULT_WINDOW = 40  # default K_neg = K_pos
@@ -42,7 +44,7 @@ def _rf(a) -> RF:
     if isinstance(a, RF):
         return a
     if isinstance(a, Poly):
-        return RF(a)
+        return _raw_rf(a, ())  # a polynomial has no pole to reduce
     return RF.const(a)
 
 
@@ -140,6 +142,24 @@ def _as_rf(out: dict[int, RF | Poly], pole_free: bool) -> dict[int, RF]:
     return {k: _raw_rf(c, ()) for k, c in out.items()} if pole_free else out
 
 
+def _lift(cs: Mapping[int, Poly]) -> tuple[dict[int, Sequence[int]], int]:
+    """The Polys' numerators over the lcm of their denominators, and the lcm."""
+    den = math.lcm(*(c.den for c in cs.values()))
+    return {k: c.num if c.den == den else [x * (den // c.den) for x in c.num] for k, c in cs.items()}, den
+
+
+def _plus(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The sum of two integer coefficient lists, with no trailing zero."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, y in enumerate(b):
+        out[i] += y
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
 def star(
     u: SkewLaurentSeries, v: SkewLaurentSeries, lo: int | None = None, hi: int | None = None
 ) -> SkewLaurentSeries:
@@ -154,8 +174,9 @@ def star(
     ValueError.  The result is lo_exact only if no nonzero term fell below
     `lo`, and hi_exact only if no pair was cut at `hi` (max i + max j > hi);
     it inherits the inputs' exactness.  When no coefficient of u or v has a
-    pole, the loops run on the Poly numerators and each output coefficient
-    is wrapped back as a pole-free RF.
+    pole, the i >= 0 half steps integer lists (`_star_nonnegative_ints`), the
+    i < 0 half runs on the Poly numerators, and each output coefficient is
+    wrapped back as a pole-free RF.
     """
     if u.is_zero() or v.is_zero():
         return SkewLaurentSeries.zero()
@@ -170,7 +191,11 @@ def star(
     out: dict[int, RF | Poly] = {}
     clipped = False
     if pos:
-        out, clipped = _star_nonnegative(pos, vc, lo, hi)
+        out = (_star_nonnegative_ints if pole_free else _star_nonnegative)(pos, vc, lo, hi)
+        # the term delta^m(v_j) D^(i+j-m), m <= i, falls below lo only for j < lo,
+        # and first at m = max(0, i + j - lo + 1), which the least i makes smallest
+        i0 = min(pos)
+        clipped = any(j < lo and _survives(c, max(0, i0 + j - lo + 1)) for j, c in v.coeffs.items())
     if neg:
         out_neg, clipped_neg = _star_negative(neg, vc, lo, hi)
         for k, c in out_neg.items():
@@ -182,16 +207,16 @@ def star(
     return SkewLaurentSeries(_as_rf(out, pole_free), lo_exact, hi_exact)
 
 
-def _star_nonnegative(uc: Mapping[int, RF | Poly], vc: Mapping[int, RF | Poly], lo: int, hi: int | None):
-    """sum_i u_i P_i in degrees lo..hi for i >= 0, and whether a term was
-    clipped at lo.  P_0 = v and P_i = D * P_(i-1), stepped by
-    D a D^k = a D^(k+1) + delta(a) D^k.  D only raises degrees, so P_i is
-    kept at degrees <= hi, and in full below lo, which P_i[lo] reads."""
-    out: dict[int, RF | Poly] = {}
+def _star_nonnegative(uc: Mapping[int, RF], vc: Mapping[int, RF], lo: int, hi: int | None) -> dict[int, RF]:
+    """sum_i u_i P_i in degrees lo..hi for i >= 0.  P_0 = v and
+    P_i = D * P_(i-1), stepped by D a D^k = a D^(k+1) + delta(a) D^k.
+    D only raises degrees, so P_i is kept at degrees <= hi, and in full
+    below lo, which P_i[lo] reads."""
+    out: dict[int, RF] = {}
     P = {k: c for k, c in vc.items() if hi is None or k <= hi}
     for i in range(max(uc) + 1):
         if i:
-            nxt: dict[int, RF | Poly] = {}
+            nxt: dict[int, RF] = {}
             for k, c in P.items():
                 d = c.derivative()
                 if not d.is_zero():
@@ -207,20 +232,40 @@ def _star_nonnegative(uc: Mapping[int, RF | Poly], vc: Mapping[int, RF | Poly], 
                 if k >= lo:
                     term = ui * c
                     out[k] = out[k] + term if k in out else term
-    # the term delta^m(v_j) D^(i+j-m), m <= i, falls below lo only for j < lo,
-    # and first at m = max(0, i + j - lo + 1), which the least i makes smallest
-    i0 = min(uc)
-    clipped = any(j < lo and _survives(c, max(0, i0 + j - lo + 1)) for j, c in vc.items())
-    return out, clipped
+    return out
 
 
-def _survives(c: RF | Poly, m: int) -> bool:
+def _star_nonnegative_ints(uc: Mapping[int, Poly], vc: Mapping[int, Poly], lo: int, hi: int | None) -> dict[int, Poly]:
+    """`_star_nonnegative` for pole-free windows, on integer lists: u and v
+    are each lifted once over one denominator, and one Poly is built per
+    output degree."""
+    (ua, du), (P, dv) = _lift(uc), _lift({k: c for k, c in vc.items() if hi is None or k <= hi})
+    out: dict[int, list[int]] = {}
+    for i in range(max(ua) + 1):
+        if i:
+            nxt: dict[int, list[int]] = {}
+            for k, c in P.items():
+                d = derive(c)
+                if d:
+                    nxt[k] = _plus(nxt[k], d) if k in nxt else d
+                if hi is None or k < hi:
+                    nxt[k + 1] = _plus(nxt[k + 1], c) if k + 1 in nxt else c
+            P = {k: c for k, c in nxt.items() if c}
+            if not P:
+                break
+        ui = ua.get(i)
+        if ui is not None:
+            for k, c in P.items():
+                if k >= lo:
+                    term = conv(ui, c)
+                    out[k] = _plus(out[k], term) if k in out else term
+    den = du * dv
+    return {k: _make(c, den) for k, c in out.items()}
+
+
+def _survives(c: RF, m: int) -> bool:
     """delta^m(c) != 0 for c != 0: a pole survives every derivative."""
-    if isinstance(c, RF):
-        if c.den_factors:
-            return True
-        c = c.num
-    return c.degree() >= m
+    return bool(c.den_factors) or c.num.degree() >= m
 
 
 def _star_negative(uc: Mapping[int, RF | Poly], vc: Mapping[int, RF | Poly], lo: int, hi: int | None):
@@ -277,12 +322,14 @@ def apply_to_function(u: SkewLaurentSeries, f: RF | Poly | Rational) -> RF:
 def transpose(u: SkewLaurentSeries) -> SkewLaurentSeries:
     """The anti-automorphism with a^T = a, D^T = -D; requires a nonnegative window.
 
-    A pole-free window runs the loop on its Poly numerators, as in `star`.
+    A pole-free window runs the loop on integer lists, as `star` does.
     """
     if u.lo() < 0:
         raise ValueError("transpose needs a nonnegative window")
     (uc,), pole_free = _numerators(u)
-    out: dict[int, RF | Poly] = {}
+    if pole_free:
+        return SkewLaurentSeries(_as_rf(_transpose_ints(uc), True), u.lo_exact, u.hi_exact)
+    out: dict[int, RF] = {}
     for j, aj in uc.items():
         # (a_j D^j)^T = (-1)^j D^j * a_j = (-1)^j sum_k binom(j, j-k) delta^(j-k)(a_j) D^k
         d = aj
@@ -293,7 +340,24 @@ def transpose(u: SkewLaurentSeries) -> SkewLaurentSeries:
                 out[k] = out[k] + term if k in out else term
             if k:
                 d = d.derivative()
-    return SkewLaurentSeries(_as_rf(out, pole_free), u.lo_exact, u.hi_exact)
+    return SkewLaurentSeries(out, u.lo_exact, u.hi_exact)
+
+
+def _transpose_ints(uc: Mapping[int, Poly]) -> dict[int, Poly]:
+    """transpose's loop for a pole-free window, on integer lists over one
+    denominator; one Poly is built per output degree."""
+    ints, den = _lift(uc)
+    out: dict[int, list[int]] = {}
+    for j, d in ints.items():
+        for k in range(j, -1, -1):
+            if not d:
+                break
+            b = zbinom(j, j - k) * (-1) ** j
+            term = [c * b for c in d]
+            out[k] = _plus(out[k], term) if k in out else term
+            if k:
+                d = derive(d)
+    return {k: _make(c, den) for k, c in out.items()}
 
 
 # ---------------------------------------------------------------------------

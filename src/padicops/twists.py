@@ -70,19 +70,23 @@ def theta_apply(tw: TwistData, q: SkewLaurentSeries) -> SkewLaurentSeries:
     """Apply the twist to a nonnegative-window operator, coefficient-linearly.
 
     theta(D^n) = n! sum_a h[n-a] D^a / a!, so the D^a coefficient of the image
-    is sum_n a_n (n!/a!) h[n-a].
+    is (1/a!) sum_n (a_n n!) h[n-a]: each a_n is scaled by n! once, and each
+    sum by 1/a! once.
     """
     if q.lo() < 0:
         raise ValueError("the twist acts on nonnegative windows here")
     if q.hi() > tw.depth:
         raise ValueError(f"h-sequence depth {tw.depth} < operator order {q.hi()}")
+    scaled = {n: an.scale(math.factorial(n)) for n, an in q.coeffs.items()}
     out: dict[int, RF] = {}
-    for n, an in q.coeffs.items():
-        for a in range(n + 1):
-            c = Fraction(math.factorial(n), math.factorial(a))
-            term = an * tw.h[n - a].scale(c)
-            if not term.is_zero():
-                out[a] = out[a] + term if a in out else term
+    for a in range(q.hi() + 1):
+        s = None
+        for n, bn in scaled.items():
+            if n >= a:
+                term = bn * tw.h[n - a]
+                s = term if s is None else s + term
+        if s is not None and not s.is_zero():
+            out[a] = s.scale(Fraction(1, math.factorial(a)))
     return SkewLaurentSeries(out, q.lo_exact, q.hi_exact)
 
 

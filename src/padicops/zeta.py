@@ -126,11 +126,9 @@ def zeta_series(p: int, q: int, k: int, d: int, order: int) -> QSeries:
 
 def nabla_apply(f: QSeries, p: int, q: int, k: int, d: int) -> QSeries:
     """-(1/p)[y^2 f' - (qk/d) y f - (k(q-1)/d) y^q f/(1-y^(q-1))]."""
-    order = f.order
-    geom = binomial_series(-1, order, q - 1)  # 1/(1 - y^(q-1))
     t1 = f.euler_derivative().shift(1)
     t2 = f.shift(1).scale(F(q * k, d))
-    t3 = (f * geom).shift(q).scale(F(k * (q - 1), d))
+    t3 = f.over_one_minus(q - 1).shift(q).scale(F(k * (q - 1), d))
     return (t1 - t2 - t3).scale(F(-1, p))
 
 
@@ -196,16 +194,20 @@ def h_sequence_y(p: int, q: int, k: int, d: int, depth: int, order: int) -> list
     """Twist coefficients h[0..depth] of (w, d) in the y-coordinate.
 
     The transported derivation is D = -(1/p) y^2 d/dy and
-    h[1] = -(1/d) D(w)/w = (1/(pd)) [qk y + k(q-1) y^q/(1-y^(q-1))];
-    each h[n] is a power series of order >= n.
+    h[1] = -(1/d) D(w)/w = (1/(pd)) [qk y + k(q-1) y^q/(1-y^(q-1))]
+         = (1/(pd)) (qk y - k y^q)/(1 - y^(q-1));
+    each h[n] is a power series of order >= n.  A product with h[1] is two
+    shifts and one division by 1 - y^(q-1), all O(order).
     """
     Family(p, q, k, d)  # rejects parameters outside the family
-    geom = binomial_series(-1, order, q - 1)
-    h1 = (QSeries.of([0, q * k], order) + geom.shift(q).scale(k * (q - 1))).scale(F(1, p * d))
-    hs = [QSeries.one(order), h1]
+
+    def times_h1(f: QSeries) -> QSeries:
+        return (f.shift(1).scale(q * k) - f.shift(q).scale(k)).over_one_minus(q - 1).scale(F(1, p * d))
+
+    hs = [QSeries.one(order), times_h1(QSeries.one(order))]
     for ell in range(1, depth):
         dh = hs[ell].euler_derivative().shift(1).scale(F(-1, p))
-        hs.append((dh + h1 * hs[ell]).scale(F(1, ell + 1)))
+        hs.append((dh + times_h1(hs[ell])).scale(F(1, ell + 1)))
     return hs[: depth + 1]
 
 

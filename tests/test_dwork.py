@@ -1,8 +1,11 @@
+import math
 import random
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 
+from padicops import dwork
 from padicops.dwork import (
     dwork_build,
     dwork_coefficients,
@@ -47,6 +50,35 @@ class TestProjector:
                 got = H.apply_poly(Poly.of(*([0] * j + [1])))
                 want = Poly.of(*([0] * j + [1])) if j % q == 0 else Poly(())
                 assert got == want
+
+    def test_action_by_linearity_matches_the_derivative_loop(self):
+        def derivative_loop(H, f):
+            # sum_k (c_k/k!) x^k D^k f on the whole polynomial, as first written
+            out, d = Poly(()), f
+            for k, ck in enumerate(H.c):
+                if d.is_zero():
+                    break
+                if ck:
+                    out = out + (Poly.of(*([0] * k + [1])) * d).scale(F(ck, math.factorial(k)))
+                d = d.derivative()
+            return out
+
+        r = random.Random(3)
+        for q, trunc in ((2, 9), (3, 12), (5, 15)):
+            H = dwork_build(q, trunc)
+            for _ in range(30):
+                f = Poly(F(r.randint(-9, 9), r.randint(1, 5)) for _ in range(r.randint(0, trunc + 1)))
+                assert H.apply_poly(f) == derivative_loop(H, f)
+
+    def test_each_monomial_image_is_built_once(self, monkeypatch):
+        built = []
+        real = dwork.monomial_image.__wrapped__
+        monkeypatch.setattr(dwork, "monomial_image",
+                            lru_cache(maxsize=dwork.IMAGE_MEMO_SIZE)(lambda c, e: built.append(e) or real(c, e)))
+        H = dwork_build(3, 12)
+        for _ in range(3):
+            H.apply_poly(Poly.of(*range(1, 14)))
+        assert sorted(built) == list(range(13))
 
     def test_truncation_guard(self):
         H = dwork_build(2, 6)

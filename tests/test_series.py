@@ -255,6 +255,27 @@ class TestQSeries:
         b = binomial_series(F(-1), 9, 2)  # geometric series in y^2
         assert b.coeffs == (1, 0, 1, 0, 1, 0, 1, 0, 1)
 
+    @given(cs=coeff_lists, n=st.integers(min_value=1, max_value=12), c=st.integers(min_value=1, max_value=5))
+    @settings(max_examples=60)
+    def test_division_by_one_minus_y_power_is_the_geometric_product(self, cs, n, c):
+        f = QSeries.of(cs, n)
+        assert f.over_one_minus(c) == f * binomial_series(-1, n, c)
+
+    def test_binomial_series_matches_the_fraction_loop(self):
+        def fraction_loop(alpha, order, stride):
+            # the per-slot Fraction recurrence that the integer numerators replaced
+            out, b, m = [F(0)] * order, F(1), 0
+            while m * stride < order:
+                out[m * stride] = b * (-1) ** m
+                b *= F(alpha - m, m + 1)
+                m += 1
+            return QSeries(tuple(out))
+
+        for alpha in (F(1, 2), F(-1), F(3), F(-5, 4), F(7, 3), F(0), F(-2, 9)):
+            for order in (1, 2, 5, 13, 40):
+                for stride in (1, 2, 3, 7):
+                    assert binomial_series(alpha, order, stride) == fraction_loop(alpha, order, stride)
+
     def test_pow_fractional(self):
         u = QSeries.of([1, 3, 1], 12)
         assert ((u.pow_fractional(F(1, 3))) ** 3 - u).is_zero()

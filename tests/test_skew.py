@@ -12,7 +12,7 @@ import padicops
 from padicops import skew
 from padicops.cli import main
 from padicops.padics import vp_rational
-from padicops.ratfun import MobiusMap, Poly, RationalFunction
+from padicops.ratfun import MobiusMap, Poly, RationalFunction, conv
 from padicops.skew import (
     DividedPowerOperator,
     SkewLaurentSeries,
@@ -290,12 +290,14 @@ class TestStarProduct:
                 assert got.coeffs == want.coeffs
                 assert (got.lo_exact, got.hi_exact) == (want.lo_exact, want.hi_exact)
             d, want = S.of({1: 1}), S({1: f, -1: -f.derivative().derivative()})
-            # the products run at the loop's coefficient type: Poly numerators
-            # for the pole-free f, RF for the two with poles
-            ring = RF if f.den_factors else Poly
+            # the products run at the loop's coefficient type: integer lists
+            # (skew.conv) for the pole-free f, RF for the two with poles
             calls = []
-            mul = ring.__mul__
-            monkeypatch.setattr(ring, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+            if f.den_factors:
+                mul = RF.__mul__
+                monkeypatch.setattr(RF, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+            else:
+                monkeypatch.setattr(skew, "conv", lambda a, b: calls.append(1) or conv(a, b))
             got = star(d, v)
             monkeypatch.undo()
             assert got == want
@@ -372,6 +374,38 @@ class TestPoleFreePath:
                 assert all(type(c) is RF and c.den_factors == () for c in got_w.coeffs.values())
             assert full == want and (full.lo_exact, full.hi_exact) == (want.lo_exact, want.hi_exact)
             assert cut.coeffs == {k: c for k, c in want.coeffs.items() if k <= 2}
+
+    def test_integer_loops_match_the_references_and_the_rf_path(self, monkeypatch):
+        # Fraction coefficients (the Dwork H has c_k/k!), Laurent windows,
+        # explicit lo, hi cuts and both exactness flags
+        r = random.Random(19)
+
+        def pole_free(lo):
+            coeffs = {k: RF(Poly(F(r.randint(-5, 5), r.randint(1, 6)) for _ in range(r.randint(1, 4))))
+                      for k in range(lo, lo + r.randint(1, 5)) if r.random() < 0.8}
+            return S(coeffs or {lo: RF.const(F(1, 3))}, r.random() < 0.8, r.random() < 0.8)
+
+        cases = []
+        for _ in range(150):
+            u, v = pole_free(r.randint(-4, 3)), pole_free(r.randint(-6, 3))
+            lo = r.choice([None, r.randint(-14, 2), v.lo() + r.randint(1, 3)])
+            window_lo = lo if lo is not None else v.lo() if u.lo() >= 0 else u.lo() + v.lo() - 40
+            hi = r.choice([None, r.randint(window_lo, window_lo + 10)])
+            cases.append((u, v, lo, hi))
+        calls = count_rf_products_and_derivatives(monkeypatch)
+        got = [(star(u, v, lo, hi), transpose(u) if u.lo() >= 0 else None) for u, v, lo, hi in cases]
+        monkeypatch.undo()
+        assert not calls
+        monkeypatch.setattr(skew, "_numerators", lambda *ws: ([w.coeffs for w in ws], False))
+        for (u, v, lo, hi), (prod, t) in zip(cases, got):
+            want, old = reference_star(u, v, lo), blocked_star(u, v, lo, hi)
+            cut = hi is not None and any(i + j > hi for i in u.coeffs for j in v.coeffs)
+            assert prod.coeffs == {k: c for k, c in want.coeffs.items() if hi is None or k <= hi}
+            assert (prod.lo_exact, prod.hi_exact) == (want.lo_exact, want.hi_exact and not cut)
+            for new, ref in [(prod, old), (prod, star(u, v, lo, hi))] + ([(t, transpose(u))] if t else []):
+                assert new.coeffs == ref.coeffs
+                assert (new.lo_exact, new.hi_exact) == (ref.lo_exact, ref.hi_exact)
+                assert all(type(c) is RF and c.den_factors == () for c in new.coeffs.values())
 
     def test_one_pole_among_pole_free_coefficients_takes_the_rf_path(self, monkeypatch):
         u = S({0: RF(Poly.of(1, 2)), 1: RF(Poly.of(3), {F(1, 2): 1}), 2: RF(Poly.of(0, 1))})

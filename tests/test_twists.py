@@ -104,6 +104,33 @@ class TestTheta:
             dn = S.of({n: F(1, math.factorial(n))})
             assert theta_apply(tw12, dn) == theta_apply(tw1, theta_apply(tw2, dn))
 
+    def test_sums_before_it_scales(self, monkeypatch):
+        def per_term(tw, q):
+            # one RF scale per (n, a) term, as first written
+            out = {}
+            for n, an in q.coeffs.items():
+                for a in range(n + 1):
+                    term = an * tw.h[n - a].scale(F(math.factorial(n), math.factorial(a)))
+                    if not term.is_zero():
+                        out[a] = out[a] + term if a in out else term
+            return S(out, q.lo_exact, q.hi_exact)
+
+        tw = h_sequence(RF.from_factors(F(2, 3), {0: 1, F(1, 2): -2}), 3, 10, 5)
+        r = random.Random(29)
+        for depth in (0, 3, 10):
+            q = S({n: RF(Poly.of(r.randint(-3, 3), 1), {F(n, 2): 1}) for n in range(depth + 1)},
+                  hi_exact=False)
+            assert theta_apply(tw, q) == per_term(tw, q)
+            assert theta_apply(tw, q).hi_exact is False
+        bg = beta_build(MobiusMap.of(1, 3, 9, 1), 10)
+        scales = []
+        real = RF.scale
+        monkeypatch.setattr(RF, "scale", lambda a, c: scales.append(1) or real(a, c))
+        got = theta_apply(tw, bg)
+        monkeypatch.undo()
+        assert got == per_term(tw, bg)
+        assert len(scales) == 2 * len(bg.coeffs)  # 22 at depth 10, not 66
+
     def test_depth_guard(self):
         tw = h_sequence(x, 2, 3)
         with pytest.raises(ValueError):
