@@ -16,6 +16,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from padicops import zeta  # noqa: E402
+from padicops.carries import Family  # noqa: E402
 from padicops.cli import fmt_val  # noqa: E402
 
 FAMILIES = [
@@ -32,10 +33,11 @@ def main() -> int:
     args = ap.parse_args()
 
     for p, f, k, d, levels in FAMILIES:
+        fam = Family(p, p**f, k, d)
         lines = ["N,n,M,s,v_sum,v_dominant,bound,agreement_digits,seconds"]
         for N in levels:
             t0 = time.monotonic()
-            (row,) = zeta.phi_valuation_profile(p, f, k, d, [N], args.prec)
+            (row,) = zeta.phi_valuation_profile(fam, [N], args.prec)
             dt = time.monotonic() - t0
             idx, rep = row.idx, row.report
             lines.append(

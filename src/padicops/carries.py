@@ -7,7 +7,7 @@ which evaluates the full coefficient sum with capped-precision p-adics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .padics import (
@@ -130,121 +130,117 @@ def vp_binom_lower(lam: Rational, n: int, p: int) -> int | float:
 # ---------------------------------------------------------------------------
 
 
+# The case table: (the parity N must have, N - M) for each case of `_pattern_case`
+CASES = {"a": (0, 1), "b": (0, 2), "c": (0, 3), "d": (0, 2), "e": (1, 1)}
+
+
+def _pattern_case(k: int, q: int) -> str:
+    """The case of (k, q), 1 <= k <= q, that fixes the level's parity, M and
+    the digit patterns of s."""
+    if not 1 <= k <= q:
+        raise ValueError(f"k={k} out of range 1..{q}")
+    if q == 2:
+        return "c" if k == 1 else "d"
+    if k <= q - 2:
+        return "a"
+    if k == q - 1:
+        return "b"
+    return "e"
+
+
 def required_parity(k: int, q: int) -> int:
     """0 if N must be even, 1 if N must be odd, for 1 <= k <= q."""
-    if k == q and q > 2:
-        return 1
-    return 0
+    return CASES[_pattern_case(k, q)][0]
+
+
+def expected_M(k: int, q: int, N: int) -> int:
+    """Case table for M in terms of N."""
+    return N - CASES[_pattern_case(k, q)][1]
 
 
 @dataclass(frozen=True)
 class SpecialIndex:
-    """Index data (n, M, s) for the dominant-term analysis at level N.
+    """Index data (n, M, s) of the family `fam` at level N, from `Family.index`.
 
-    n is the smallest positive integer congruent to qk/(q^2-1) mod q^N;
+    n is the smallest positive integer congruent to q k_norm/(q^2-1) mod q^N;
     M is maximal with 1 + q + ... + q^M <= n; s = n - (1 + ... + q^M).
     """
 
-    p: int
-    f: int
-    q: int
-    k: int
-    d: int
+    fam: Family
     N: int
     n: int
     M: int
     s: int
 
     @property
-    def lam(self) -> Fraction:
-        return Fraction(self.k, self.q + 1)
-
-    @property
     def alpha(self) -> Fraction:
         """Top-minus-bottom entry of the second binomial; 0 mod q^N."""
-        return Fraction(self.q * self.k, self.q + 1) - self.n * (self.q - 1)
-
-
-def expected_M(k: int, q: int, N: int) -> int:
-    """Case table for M in terms of N."""
-    if 1 <= k <= q - 2 or (k == q and q > 2):
-        return N - 1
-    if (k == q - 1 and q > 2) or (k == q == 2):
-        return N - 2
-    if k == 1 and q == 2:
-        return N - 3
-    raise ValueError(f"no table entry for k={k}, q={q}")
-
-
-def special_index(p: int, f: int, k: int, N: int) -> SpecialIndex:
-    q = p**f
-    if not 1 <= k <= q:
-        raise ValueError(f"k={k} out of range 1..{q}")
-    if N < 6:
-        raise ValueError("N must be at least 6")
-    if N % 2 != required_parity(k, q):
-        want = "odd" if required_parity(k, q) else "even"
-        raise ValueError(f"N={N} has wrong parity for k={k}, q={q}: N must be {want}")
-    mod = q**N
-    n = q * k * pow(q * q - 1, -1, mod) % mod
-    if n == 0:
-        n = mod
-    M, tower = 0, 1 + q
-    while tower <= n:
-        M += 1
-        tower += q ** (M + 1)
-    s = n - (tower - q ** (M + 1))
-    if not 0 <= s < q ** (M + 1):
-        raise CheckFailed(f"s = {s} outside 0..q^(M+1) - 1 for M = {M}")
-    got = expected_M(k, q, N)
-    if M != got:
-        raise CheckFailed(f"M={M} disagrees with the case table value {got}")
-    return SpecialIndex(p, f, q, k, q + 1, N, n, M, s)
+        q = self.fam.q
+        return q * self.fam.lam - self.n * (q - 1)
 
 
 @dataclass(frozen=True)
 class Family:
     """The twist parameters (p, q, k, d), checked and normalised in one place.
 
-    q = p^f, d divides q + 1 and is coprime to p, and 1 <= k < d (k = d is
-    the excluded trivial twist).  Normalised to d = q + 1 the family has
-    k_norm = k(q+1)/d in 1..q, and lam = k/d = k_norm/(q+1).
+    q = p^f with f >= 1, d divides q + 1 and is coprime to p, and 1 <= k < d
+    (k = d is the excluded trivial twist).  Every rule is checked when the
+    family is built, and f is found then.  Normalised to d = q + 1 the family
+    has k_norm = k(q+1)/d in 1..q, and lam = k/d = k_norm/(q+1).
     """
 
     p: int
     q: int
     k: int
     d: int
+    f: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         p, q, k, d = self.p, self.q, self.k, self.d
+        f, pf = 0, 1
+        while p > 1 and pf < q:
+            f, pf = f + 1, pf * p
+        if f < 1 or pf != q:
+            raise ValueError(f"q = {q} is not a power of p = {p}")
         if d % p == 0:
             raise ValueError(f"d = {d} must be coprime to p = {p}")
         if (q + 1) % d != 0:
             raise ValueError(f"d = {d} must divide q + 1 = {q + 1}")
         if not 1 <= k < d:
             raise ValueError(f"k = {k} out of range 1..{d - 1} (k = d is the excluded trivial twist)")
-
-    @property
-    def f(self) -> int:
-        f = 1
-        while self.p**f < self.q:
-            f += 1
-        if self.p**f != self.q:
-            raise ValueError(f"q = {self.q} is not a power of p = {self.p}")
-        return f
+        object.__setattr__(self, "f", f)
 
     @property
     def k_norm(self) -> int:
-        k, q, d = self.k, self.q, self.d
-        return k * (q + 1) // d
+        return self.k * (self.q + 1) // self.d
 
     @property
     def lam(self) -> Fraction:
         return Fraction(self.k, self.d)
 
     def index(self, N: int) -> SpecialIndex:
-        return special_index(self.p, self.f, self.k_norm, N)
+        """The special index at level N >= 6 of the parity the case table
+        gives; raises CheckFailed when M or s breaks the table."""
+        q, k = self.q, self.k_norm
+        if N < 6:
+            raise ValueError("N must be at least 6")
+        parity = required_parity(k, q)
+        if N % 2 != parity:
+            want = "odd" if parity else "even"
+            raise ValueError(f"N={N} has wrong parity for k={k}, q={q}: N must be {want}")
+        mod = q**N
+        n = q * k * pow(q * q - 1, -1, mod) % mod or mod
+        M, tower = 0, 1 + q
+        while tower <= n:
+            M += 1
+            tower += q ** (M + 1)
+        s = n - (tower - q ** (M + 1))
+        if not 0 <= s < q ** (M + 1):
+            raise CheckFailed(f"s = {s} outside 0..q^(M+1) - 1 for M = {M}")
+        got = expected_M(k, q, N)
+        if M != got:
+            raise CheckFailed(f"M={M} disagrees with the case table value {got}")
+        return SpecialIndex(self, N, n, M, s)
 
 
 # ---------------------------------------------------------------------------
@@ -267,21 +263,11 @@ def q_digits_mod(lam: Fraction, q: int, count: int) -> tuple[int, ...]:
     return q_digits_of_int(r, q, count)
 
 
-def _pattern_case(k: int, q: int) -> str:
-    if q == 2:
-        return "c" if k == 1 else "d"
-    if 1 <= k <= q - 2:
-        return "a"
-    if k == q - 1:
-        return "b"
-    return "e"
-
-
 def expected_digit_patterns(k: int, q: int, M: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Expected base-q digits of s and of (k/(q+1) - s) mod q^(M+1).
 
     The expansions are recurrent with period 2 after a short preamble; the
-    case split follows the same table as expected_M.
+    cases are those of `_pattern_case`, the keys of CASES.
     """
     case = _pattern_case(k, q)
     m1 = M + 1
@@ -322,14 +308,15 @@ def qexp_check(idx: SpecialIndex) -> QExpReport:
     patterns, and confirm the carrying in s + (lam - s) stops before position
     (M+1)f; also checks that the companion binomial has valuation zero at r=s.
     """
-    q, M, f = idx.q, idx.M, idx.f
+    fam, M = idx.fam, idx.M
+    p, q, k = fam.p, fam.q, fam.k_norm
     s_digits = q_digits_of_int(idx.s, q, M + 1)
-    lam_minus_s = idx.lam - idx.s
+    lam_minus_s = fam.lam - idx.s
     ls_digits = q_digits_mod(lam_minus_s, q, M + 1)
-    s_exp, ls_exp = expected_digit_patterns(idx.k, q, M)
-    bound = (M + 1) * f
-    prof = carry_profile(lam_minus_s, idx.s, bound, idx.p)
-    sv = vp_binom_kummer(idx.alpha, (idx.q - 1) * (idx.n - idx.s), idx.p)
+    s_exp, ls_exp = expected_digit_patterns(k, q, M)
+    bound = (M + 1) * fam.f
+    prof = carry_profile(lam_minus_s, idx.s, bound, p)
+    sv = vp_binom_kummer(idx.alpha, (q - 1) * (idx.n - idx.s), p)
     ok = (
         s_digits == s_exp
         and ls_digits == ls_exp
@@ -338,7 +325,7 @@ def qexp_check(idx: SpecialIndex) -> QExpReport:
         and sv == 0
     )
     return QExpReport(
-        idx, _pattern_case(idx.k, q), s_digits, ls_digits, s_exp, ls_exp,
+        idx, _pattern_case(k, q), s_digits, ls_digits, s_exp, ls_exp,
         prof.L, bound, sv, ok,
     )
 
@@ -350,10 +337,11 @@ def qexp_check(idx: SpecialIndex) -> QExpReport:
 
 def dominant_term_valuation(idx: SpecialIndex) -> int:
     """Valuation of the r = s summand: v_p(binom(lam, s)) - (M+1)f."""
-    v = vp_binom_lower(idx.lam, idx.s, idx.p)
+    fam = idx.fam
+    v = vp_binom_lower(fam.lam, idx.s, fam.p)
     if v == INF:
         raise CheckFailed(f"binom(lam, {idx.s}) vanishes: the dominant term is zero")
-    return int(v) - (idx.M + 1) * idx.f
+    return int(v) - (idx.M + 1) * fam.f
 
 
 def term_valuations(idx: SpecialIndex):
@@ -361,8 +349,9 @@ def term_valuations(idx: SpecialIndex):
     Legendre increments of binom(lam, r) and S_{n,r} apart (`_sum_estimate`
     steps one quotient of terms), S_{n,0} from v((cn)!) by Legendre's formula.
     Neither lam nor alpha is an integer, so no factor vanishes."""
-    p, n, c = idx.p, idx.n, idx.q - 1
-    ln, ld = idx.lam.numerator, idx.lam.denominator
+    fam, n = idx.fam, idx.n
+    p, c = fam.p, fam.q - 1
+    ln, ld = fam.lam.numerator, fam.lam.denominator
     an, ad = idx.alpha.numerator, idx.alpha.denominator
     v1 = 0  # v(binom(lam, r))
     v2 = sum(vp_int(an + i * ad, p) for i in range(1, c * n + 1)) - vp_factorial(c * n, p)  # v(S_{n,r})
@@ -416,7 +405,7 @@ MAX_N_FOR_Q = {2: 12, 3: 10}  # desk-scale caps; larger N rejected
 
 def check_scale(q: int, N: int) -> None:
     """Reject a level past the desk-scale cap; cheap, so it can run before
-    `special_index`, whose work grows with N."""
+    `Family.index`, whose work grows with N."""
     cap = MAX_N_FOR_Q.get(q, 8)
     if N > cap:
         raise ValueError(f"N={N} exceeds the desk-scale cap {cap} for q={q}")
@@ -459,9 +448,10 @@ def sum_estimate(
 
 
 def _sum_estimate(idx: SpecialIndex, prec: int, progress) -> SumReport:
-    check_scale(idx.q, idx.N)
-    p, n, c, mod = idx.p, idx.n, idx.q - 1, idx.p**prec
-    ln, ld = idx.lam.numerator, idx.lam.denominator
+    fam, n = idx.fam, idx.n
+    check_scale(fam.q, idx.N)
+    p, c, mod = fam.p, fam.q - 1, fam.p**prec
+    ln, ld = fam.lam.numerator, fam.lam.denominator
     an, ad = idx.alpha.numerator, idx.alpha.denominator
     # the r-th term as p^vt * tn/td with tn, td units mod p^prec; the r = 0 term
     # is (-1)^(cn) S_{n,0}/(cn + 1), S_{n,0} = prod_{i=1..cn} (alpha + i)/i

@@ -92,30 +92,30 @@ class RunConfig:
     dwork_trunc: int = 13  # operator truncation for dwork-check only
 
     @property
-    def q(self) -> int:
-        return self.p**self.f
-
-    @property
     def dwork_qs(self) -> tuple[int, ...]:
         """The projector parameters that dwork-check runs."""
         return (self.dwork_q,) if self.dwork_q is not None else (2, 3)
 
     def validate(self, level_data: bool = True, family_data: bool = True, twist_data: bool = True) -> None:
-        """Basic checks always; d coprime to p if `twist_data`; the family
-        (p, q, k, d) unless `family_data` is false, and with it each level of
-        n_list if `level_data`.  With no argument this checks everything `all`
-        reads."""
+        """Basic checks always; d at least 1 and coprime to p if `twist_data`;
+        the family (p, q, k, d) unless `family_data` is false, and with it each
+        level of n_list if `level_data`.  With no argument this checks
+        everything `all` reads."""
         if self.p >= PRIME_BOUND:
             raise ConfigError(f"p = {self.p} is too large: primality is certified only below {PRIME_BOUND}")
         if not is_prime(self.p):
             raise ConfigError(f"p = {self.p} is not prime")
         if self.fmt not in ("json", "csv"):
             raise ConfigError(f"unknown format {self.fmt!r}")
+        if twist_data and self.d < 1:
+            raise ConfigError(f"d = {self.d} must be at least 1")
         if twist_data and self.d % self.p == 0:
             raise ConfigError(f"d = {self.d} must be coprime to p = {self.p}")
-        for name in ("f", "prec", "order", "cases", "k_neg"):
+        for name in ("f", "prec", "cases", "k_neg"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} = {getattr(self, name)} must be at least 1")
+        if self.order < 2:
+            raise ConfigError(f"order = {self.order} must be at least 2")
         if not self.n_list:
             raise ConfigError("the level list n_list is empty")
         if self.dwork_q is not None and self.dwork_q < 2:
@@ -140,7 +140,7 @@ class RunConfig:
 
     @property
     def family(self) -> carries.Family:
-        return carries.Family(self.p, self.q, self.k, self.d)
+        return carries.Family(self.p, self.p**self.f, self.k, self.d)
 
 
 def parse_config_file(path: str) -> dict:
@@ -374,7 +374,7 @@ def cmd_qexp_check(cfg: RunConfig) -> Report:
 
 def cmd_zeta_valuations(cfg: RunConfig) -> Report:
     rows = []
-    profile = zeta.phi_valuation_profile(cfg.p, cfg.f, cfg.k, cfg.d, cfg.n_list, cfg.prec)
+    profile = zeta.phi_valuation_profile(cfg.family, cfg.n_list, cfg.prec)
     prev = None
     for row in profile:
         decreasing = prev is None or row.report.v_sum < prev
@@ -395,18 +395,18 @@ def cmd_zeta_valuations(cfg: RunConfig) -> Report:
 
 
 def cmd_ode_check(cfg: RunConfig) -> Report:
-    p, q, k, d, order = cfg.p, cfg.q, cfg.k, cfg.d, cfg.order
+    fam, p, order = cfg.family, cfg.p, cfg.order
     xorder = min(order, 80)
     try:
-        rep = zeta.ode_residual(p, q, k, d, order)
-        xv = zeta.xvzero_series(p, q, k, d, rep.c.truncate(xorder))
+        rep = zeta.ode_residual(fam, order)
+        xv = zeta.xvzero_series(fam, rep.c.truncate(xorder))
         z = rep.solution
         on_c = [rep.residual_is_zero, rep.recurrence_matches, xv.residual_is_zero, xv.leading_term == p]
     except carries.CheckFailed as e:
         # a failed check on the unit c (c^d = ratio^k) fails the four rows built on c
         print(f"  ode-check: {e}", file=sys.stderr)
-        z, on_c = zeta.zeta_series(p, q, k, d, order), [False] * 4
-    jrep = zeta.alpha_and_j(q, k, d, order // 2)
+        z, on_c = zeta.zeta_series(fam, order), [False] * 4
+    jrep = zeta.alpha_and_j(fam, order // 2)
     margin = zeta.convergence_margin(z, p)
     rows = [
         {"check": "ode_residual_zero_through_order", "order": order, "ok": on_c[0]},
@@ -420,7 +420,7 @@ def cmd_ode_check(cfg: RunConfig) -> Report:
     return Report(
         "ode-check",
         "the closed-form series is the unique formal solution of the twisted equation",
-        {"p": p, "q": q, "k": k, "d": d, "order": order},
+        {"p": p, "q": fam.q, "k": fam.k, "d": fam.d, "order": order},
         rows,
     )
 

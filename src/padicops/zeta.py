@@ -48,16 +48,16 @@ def unit_ratio(p: int, q: int, order: int) -> tuple[QSeries, list[Fraction]]:
     return ratio, fpoly
 
 
-def build_cocycle_c(p: int, q: int, k: int, d: int, order: int) -> QSeries:
-    """The unit c with c^d = w/(h^{-1}.w), normalised by constant term 1.
+def build_cocycle_c(fam: Family, order: int) -> QSeries:
+    """The unit c with c^d = (w/(h^{-1}.w))^k, normalised by constant term 1.
 
-    Built as ratio^(k/d) by the binomial series; the d-th power is re-checked
-    against the exact rational-function ratio.
+    Built as ratio^lam by the binomial series; with lam = a/b in lowest terms
+    the power c^b is re-checked against ratio^a, the exact ratio's power.
     """
-    lam = Family(p, q, k, d).lam
-    ratio, _ = unit_ratio(p, q, order)
+    lam = fam.lam
+    ratio, _ = unit_ratio(fam.p, fam.q, order)
     c = ratio.pow_fractional(lam)
-    if not (c**d - ratio**k).is_zero():
+    if not (c**lam.denominator - ratio**lam.numerator).is_zero():
         raise CheckFailed("c^d does not recover the unit ratio")
     if c[0] != 1:
         raise CheckFailed(f"c has constant term {c[0]}, not 1")
@@ -70,13 +70,15 @@ class JReport:
     residual_zero: bool
 
 
-def alpha_and_j(q: int, k: int, d: int, count: int) -> JReport:
-    """The integral coefficients a_m = (-1)^m binom(k/d, m) / ((q-1)m - qk/d - 1)
-    and the check that (y d/dy - qk/d - 1) applied to A = sum a_m y^((q-1)m)
-    recovers (1 - y^(q-1))^(k/d), whose binomials `binomial_series` derives
-    on its own.
+def alpha_and_j(fam: Family, count: int) -> JReport:
+    """The integral coefficients a_m = (-1)^m binom(lam, m) / ((q-1)m - q lam - 1),
+    m < count, and the check that (y d/dy - q lam - 1) applied to
+    A = sum a_m y^((q-1)m) recovers (1 - y^(q-1))^lam, whose binomials
+    `binomial_series` derives on its own.
     """
-    lam = F(k, d)
+    if count < 1:
+        raise ValueError(f"count = {count} must be at least 1")
+    q, lam = fam.q, fam.lam
     alphas = []
     b = F(1)
     for m in range(count):
@@ -94,7 +96,7 @@ def alpha_and_j(q: int, k: int, d: int, count: int) -> JReport:
     return JReport(tuple(alphas), resid.is_zero())
 
 
-def zeta_series(p: int, q: int, k: int, d: int, order: int) -> QSeries:
+def zeta_series(fam: Family, order: int) -> QSeries:
     """The formal solution, assembled from its closed form:
 
         z = p (1-y^(q-1))^(-k/d) sum_r binom(k/d, r)(-1)^r y^((q-1)r) B_r,
@@ -102,7 +104,7 @@ def zeta_series(p: int, q: int, k: int, d: int, order: int) -> QSeries:
 
     With k/d = ln/ld, every summand is an integer over ld^(order-1) order!.
     """
-    lam = Family(p, q, k, d).lam
+    p, q, lam = fam.p, fam.q, fam.lam
     ln, ld = lam.numerator, lam.denominator
     c = q - 1
     fact = factorial(order)
@@ -124,21 +126,23 @@ def zeta_series(p: int, q: int, k: int, d: int, order: int) -> QSeries:
     return (QSeries.over(S, ld ** (order - 1) * fact) * binomial_series(-lam, order, q - 1)).scale(p)
 
 
-def nabla_apply(f: QSeries, p: int, q: int, k: int, d: int) -> QSeries:
-    """-(1/p)[y^2 f' - (qk/d) y f - (k(q-1)/d) y^q f/(1-y^(q-1))]."""
+def nabla_apply(f: QSeries, fam: Family) -> QSeries:
+    """-(1/p)[y^2 f' - q lam y f - (q-1) lam y^q f/(1-y^(q-1))]."""
+    q, lam = fam.q, fam.lam
     t1 = f.euler_derivative().shift(1)
-    t2 = f.shift(1).scale(F(q * k, d))
-    t3 = f.over_one_minus(q - 1).shift(q).scale(F(k * (q - 1), d))
-    return (t1 - t2 - t3).scale(F(-1, p))
+    t2 = f.shift(1).scale(q * lam)
+    t3 = f.over_one_minus(q - 1).shift(q).scale((q - 1) * lam)
+    return (t1 - t2 - t3).scale(F(-1, fam.p))
 
 
-def _solve_recurrence(p: int, q: int, lam: Fraction, c: QSeries, order: int) -> QSeries:
+def _solve_recurrence(fam: Family, c: QSeries, order: int) -> QSeries:
     """Solve nabla(z) = c - 1 term by term; c must be known to order + 1.
 
     With g = (1-y^(q-1))^(k/d) z the equation reads
     y (y d/dy - qk/d)(g) = -p (1-y^(q-1))^(k/d) (c - 1), so
     g_n = -p [eps (c-1)]_(n+1) / (n - qk/d), never dividing by zero.
     """
+    p, q, lam = fam.p, fam.q, fam.lam
     eps = binomial_series(lam, order + 1, q - 1)
     rhs = (eps * (c - QSeries.one(order + 1))).scale(-p)
     g = []
@@ -160,15 +164,15 @@ class OdeReport:
     c: QSeries  # the unit c through y^order
 
 
-def ode_residual(p: int, q: int, k: int, d: int, order: int) -> OdeReport:
+def ode_residual(fam: Family, order: int) -> OdeReport:
     """nabla(z) - (c - 1) must vanish identically on all retained coefficients,
     and the closed form must agree with the term-by-term solution.  Raises
     CheckFailed when c fails its own checks."""
-    z = zeta_series(p, q, k, d, order)
-    c = build_cocycle_c(p, q, k, d, order + 1)
-    resid = nabla_apply(z, p, q, k, d) - (c.truncate(order) - QSeries.one(order))
+    z = zeta_series(fam, order)
+    c = build_cocycle_c(fam, order + 1)
+    resid = nabla_apply(z, fam) - (c.truncate(order) - QSeries.one(order))
     bad = [j for j in range(order) if resid[j] != 0]
-    z2 = _solve_recurrence(p, q, F(k, d), c, order)
+    z2 = _solve_recurrence(fam, c, order)
     return OdeReport(order, not bad, (z - z2).is_zero(), max(bad) if bad else None, z, c)
 
 
@@ -190,19 +194,19 @@ def convergence_margin(z: QSeries, p: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def h_sequence_y(p: int, q: int, k: int, d: int, depth: int, order: int) -> list[QSeries]:
+def h_sequence_y(fam: Family, depth: int, order: int) -> list[QSeries]:
     """Twist coefficients h[0..depth] of (w, d) in the y-coordinate.
 
-    The transported derivation is D = -(1/p) y^2 d/dy and
-    h[1] = -(1/d) D(w)/w = (1/(pd)) [qk y + k(q-1) y^q/(1-y^(q-1))]
-         = (1/(pd)) (qk y - k y^q)/(1 - y^(q-1));
+    The transported derivation is D = -(1/p) y^2 d/dy and, with lam = k/d,
+    h[1] = -(1/d) D(w)/w = (lam/p) [q y + (q-1) y^q/(1-y^(q-1))]
+         = (lam/p) (q y - y^q)/(1 - y^(q-1));
     each h[n] is a power series of order >= n.  A product with h[1] is two
     shifts and one division by 1 - y^(q-1), all O(order).
     """
-    Family(p, q, k, d)  # rejects parameters outside the family
+    p, q, lam = fam.p, fam.q, fam.lam
 
     def times_h1(f: QSeries) -> QSeries:
-        return (f.shift(1).scale(q * k) - f.shift(q).scale(k)).over_one_minus(q - 1).scale(F(1, p * d))
+        return (f.shift(1).scale(q) - f.shift(q)).over_one_minus(q - 1).scale(lam / p)
 
     hs = [QSeries.one(order), times_h1(QSeries.one(order))]
     for ell in range(1, depth):
@@ -219,7 +223,7 @@ class XvZeroReport:
     max_nonzero_index: int | None
 
 
-def xvzero_series(p: int, q: int, k: int, d: int, c: QSeries) -> XvZeroReport:
+def xvzero_series(fam: Family, c: QSeries) -> XvZeroReport:
     """Build (xi beta(h))_0 = -sum_{n>=1} (1/n)(-p)^n h[n-1] and check that
     nabla of it equals 1 - c exactly, coefficient by coefficient.
 
@@ -227,14 +231,14 @@ def xvzero_series(p: int, q: int, k: int, d: int, c: QSeries) -> XvZeroReport:
     y-order >= n, so the sum truncated at n = order is y-adically exact to
     the working order.
     """
-    order = c.order
-    hs = h_sequence_y(p, q, k, d, order, order)
+    order, p = c.order, fam.p
+    hs = h_sequence_y(fam, order, order)
     f = QSeries.zero(order)
     pw = 1
     for n in range(1, order + 1):
         pw *= -p
         f = f + hs[n - 1].scale(F(-pw, n))
-    resid = nabla_apply(f, p, q, k, d) - (QSeries.one(order) - c)
+    resid = nabla_apply(f, fam) - (QSeries.one(order) - c)
     bad = [j for j in range(order) if resid[j] != 0]
     return XvZeroReport(order, f[0], not bad, max(bad) if bad else None)
 
@@ -256,6 +260,10 @@ def phi_series_coefficient(p: int, q: int, k: int, d: int, n_target: int, prec: 
     binom(lam, n); every binom(lam - m, i) after it is one exact step away.
     Each inner sum over i, of p-integral binomials, is one numerator over its
     steps' running denominator mod p^(P+1): one modular inverse per m.
+
+    It alone in this module takes the family as (p, q, k, d), not as a
+    `Family`: the benchmark's tracer reads n_target as its fifth positional
+    argument, so it builds the `Family` itself.
     """
     lam = Family(p, q, k, d).lam
     ln, ld = lam.numerator, lam.denominator
@@ -310,25 +318,22 @@ class ProfileRow:
     cross_checked: bool
 
 
-def phi_valuation_profile(
-    p: int, f: int, k: int, d: int, n_list: list[int], prec: int = 60
-) -> list[ProfileRow]:
+def phi_valuation_profile(fam: Family, n_list: list[int], prec: int = 60) -> list[ProfileRow]:
     """For each N: the valuation of the coefficient sum via the carry route,
     and the independent series route for the same coefficient; the row is
-    cross-checked when both values agree to at least prec/2 digits.
+    cross-checked when both values agree to at least prec/2 digits, and on
+    one digit at the least.
 
     The series route computes the coefficient of s^n in (1/p)(1-s)^(k/d)
     Phi(zeta), which equals minus the carry-route sum.
     """
-    fam = Family(p, p**f, k, d)
-    q = fam.q
     rows = []
     for N in n_list:
         idx = fam.index(N)
         rep = sum_estimate(idx, prec)
-        coeff = phi_series_coefficient(p, q, fam.k_norm, q + 1, idx.n, prec)
+        coeff = phi_series_coefficient(fam.p, fam.q, fam.k, fam.d, idx.n, prec)
         diff = coeff + rep.total
         vd = diff.absprec if diff.is_zero() else diff.val
         digits = int(vd - rep.total.val)
-        rows.append(ProfileRow(idx, rep, coeff, digits, digits >= prec // 2))
+        rows.append(ProfileRow(idx, rep, coeff, digits, digits >= max(1, prec // 2)))
     return rows

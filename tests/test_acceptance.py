@@ -39,12 +39,11 @@ def test_criterion_1_sum_estimate_reproduction():
     ok = True
     details = []
     for p, f, k, d, levels in families:
-        q = p**f
-        k_norm = k * (q + 1) // d
+        fam = carries.Family(p, p**f, k, d)
         prev = None
         for N in levels:
             t0 = time.monotonic()
-            idx = carries.special_index(p, f, k_norm, N)
+            idx = fam.index(N)
             rep = carries.sum_estimate(idx, 60)
             dt = time.monotonic() - t0
             ok &= rep.v_sum == rep.v_dominant
@@ -59,7 +58,7 @@ def test_criterion_1_sum_estimate_reproduction():
 def test_criterion_2_zeta_cross_validation():
     """Series-route and carry-route coefficients agree to >= 30 digits on every
     row, and the valuation profile matches the criterion-1 table exactly."""
-    rows = zeta.phi_valuation_profile(3, 1, 1, 4, [6, 8, 10], prec=60)
+    rows = zeta.phi_valuation_profile(carries.Family(3, 3, 1, 4), [6, 8, 10], prec=60)
     ok = len(rows) == 3 and all(row.cross_checked and row.agreement_digits >= 30 for row in rows)
     table = []
     for row, want in zip(rows, (-3, -4, -5)):
@@ -70,7 +69,7 @@ def test_criterion_2_zeta_cross_validation():
 
 def test_criterion_3_ode_residual():
     """The equation residual vanishes identically through y^200."""
-    rep = zeta.ode_residual(3, 3, 1, 4, 201)
+    rep = zeta.ode_residual(carries.Family(3, 3, 1, 4), 201)
     ok = rep.residual_is_zero and rep.recurrence_matches
     report("criterion 3: ode residual through y^200", ok, f"order={rep.order}")
 
@@ -201,7 +200,7 @@ def test_criterion_7_carry_suite():
             for N in (6, 8, 10):
                 if N % 2 != carries.required_parity(k, q):
                     N += 1
-                idx = carries.special_index(p, 1, k, N)
+                idx = carries.Family(p, q, k, q + 1).index(N)
                 rep = carries.qexp_check(idx)
                 grid_ok &= idx.M == carries.expected_M(k, q, N) and rep.ok
                 cells += 1

@@ -18,7 +18,6 @@ from padicops.carries import (
     expected_M,
     qexp_check,
     required_parity,
-    special_index,
     sum_estimate,
     term_valuations,
     vp_binom_kummer,
@@ -48,16 +47,17 @@ def denom_valuation(n: int, r: int, q: int, p: int) -> int | float:
 
 def term_valuation(idx: SpecialIndex, r: int) -> int | float:
     """Valuation of the r-th summand, via Kummer valuations of both binomials."""
-    v1 = vp_binom_lower(idx.lam, r, idx.p)
-    v2 = vp_binom_kummer(idx.alpha, (idx.q - 1) * (idx.n - r), idx.p)
-    return v1 + v2 - denom_valuation(idx.n, r, idx.q, idx.p)
+    p, q = idx.fam.p, idx.fam.q
+    v1 = vp_binom_lower(idx.fam.lam, r, p)
+    v2 = vp_binom_kummer(idx.alpha, (q - 1) * (idx.n - r), p)
+    return v1 + v2 - denom_valuation(idx.n, r, q, p)
 
 
 def reference_sum(idx: SpecialIndex, prec: int) -> PadicNumber:
     """The coefficient sum by one PadicNumber step per factor: the loop that
     the integer kernel of `_sum_estimate` replaced, kept as its oracle."""
-    p, q, n = idx.p, idx.q, idx.n
-    ln, ld = idx.lam.numerator, idx.lam.denominator
+    p, q, n = idx.fam.p, idx.fam.q, idx.n
+    ln, ld = idx.fam.lam.numerator, idx.fam.lam.denominator
     an, ad = idx.alpha.numerator, idx.alpha.denominator
     c = q - 1
     b1 = PadicNumber.from_rational(1, p, prec)
@@ -79,6 +79,12 @@ def reference_sum(idx: SpecialIndex, prec: int) -> PadicNumber:
     return total
 
 
+def norm_index(p: int, f: int, k_norm: int, N: int) -> SpecialIndex:
+    """The index at level N of the family (p, p^f, k_norm, p^f + 1)."""
+    q = p**f
+    return Family(p, q, k_norm, q + 1).index(N)
+
+
 # (p, f, k_norm, N): the release families, then every k_norm at q = 4 and q = 5
 # at the lowest level its parity allows
 ORACLE_FAMILIES = [(3, 1, 1, 6), (2, 1, 1, 6), (2, 1, 1, 8), (3, 1, 3, 7)] + [
@@ -90,7 +96,7 @@ ORACLE_FAMILIES = [(3, 1, 1, 6), (2, 1, 1, 6), (2, 1, 1, 8), (3, 1, 3, 7)] + [
 
 @cache
 def scanned(family: tuple[int, int, int, int]) -> tuple[int, ...]:
-    return tuple(term_valuations(special_index(*family)))
+    return tuple(term_valuations(norm_index(*family)))
 
 
 class TestCarryProfile:
@@ -196,8 +202,11 @@ class TestFamily:
         assert Family(2, 4, 1, 5).f == 2
 
     def test_index_is_the_special_index_of_k_norm(self):
-        assert Family(3, 3, 3, 4).index(7) == special_index(3, 1, 3, 7)
-        assert Family(5, 5, 1, 2).index(6) == special_index(5, 1, 3, 6)
+        def key(idx):
+            return (idx.fam.p, idx.fam.q, idx.fam.k_norm, idx.N, idx.n, idx.M, idx.s)
+
+        assert Family(3, 3, 3, 4).index(7) == norm_index(3, 1, 3, 7)
+        assert key(Family(5, 5, 1, 2).index(6)) == key(norm_index(5, 1, 3, 6))
 
     @pytest.mark.parametrize("p, q, k, d, match", [
         (3, 3, 1, 5, "divide"),
@@ -212,27 +221,27 @@ class TestFamily:
 
     def test_q_must_be_a_power_of_p(self):
         with pytest.raises(ValueError, match="power"):
-            Family(3, 5, 1, 2).f
+            Family(3, 5, 1, 2)
 
 
 class TestSpecialIndex:
     def test_known_instance(self):
-        idx = special_index(3, 1, 1, 6)
+        idx = norm_index(3, 1, 1, 6)
         assert (idx.n, idx.M, idx.s) == (456, 5, 92)
 
     def test_parity_rejection(self):
         with pytest.raises(ValueError):
-            special_index(3, 1, 1, 7)
+            norm_index(3, 1, 1, 7)
         with pytest.raises(ValueError):
-            special_index(3, 1, 3, 8)
+            norm_index(3, 1, 3, 8)
         with pytest.raises(ValueError):
-            special_index(2, 1, 2, 9)
+            norm_index(2, 1, 2, 9)
 
     def test_k_range(self):
         with pytest.raises(ValueError):
-            special_index(3, 1, 4, 6)
+            norm_index(3, 1, 4, 6)
         with pytest.raises(ValueError):
-            special_index(3, 1, 0, 6)
+            norm_index(3, 1, 0, 6)
 
     def test_case_table_for_M(self):
         assert expected_M(1, 3, 6) == 5  # generic small k
@@ -249,7 +258,7 @@ class TestSpecialIndex:
                 for N in (6, 8, 10):
                     if N % 2 != required_parity(k, q):
                         N += 1
-                    idx = special_index(p, f, k, N)
+                    idx = norm_index(p, f, k, N)
                     assert idx.M == expected_M(k, q, N)
                     rep = qexp_check(idx)
                     assert rep.ok, (p, k, N, rep)
@@ -263,16 +272,16 @@ class TestSpecialIndex:
         for p, f, k in [(2, 2, 1), (2, 2, 3), (3, 2, 2), (3, 2, 7)]:
             q = p**f
             N = 6 if k <= q - 1 or (k == 2 == q) else 7
-            idx = special_index(p, f, k, N)
-            assert idx.q == q and idx.M == expected_M(k, q, N)
+            idx = norm_index(p, f, k, N)
+            assert idx.fam.q == q and idx.M == expected_M(k, q, N)
             rep = qexp_check(idx)
             assert rep.ok, (p, f, k, rep)
             assert rep.carry_bound == (idx.M + 1) * f
 
     def test_congruence_defining_n(self):
         for p, f, k, N in [(3, 1, 2, 6), (2, 1, 1, 8), (5, 1, 3, 6)]:
-            idx = special_index(p, f, k, N)
-            q = idx.q
+            idx = norm_index(p, f, k, N)
+            q = idx.fam.q
             assert (idx.n * (q * q - 1) - q * k) % q**N == 0
             assert 1 <= idx.n <= q**N
 
@@ -284,24 +293,24 @@ class TestTermValuations:
         assert denom_valuation(456, 91, 3, 3) == 0
 
     def test_denominator_rule(self):
-        idx = special_index(3, 1, 1, 6)
+        idx = norm_index(3, 1, 1, 6)
         for r in range(0, idx.n + 1, 13):
-            v = denom_valuation(idx.n, r, idx.q, idx.p)
+            v = denom_valuation(idx.n, r, idx.fam.q, idx.fam.p)
             if r == idx.s:
-                assert v == (idx.M + 1) * idx.f
+                assert v == (idx.M + 1) * idx.fam.f
             else:
-                assert v == vp_rational(r - idx.s, idx.p)
-                assert v < (idx.M + 1) * idx.f
+                assert v == vp_rational(r - idx.s, idx.fam.p)
+                assert v < (idx.M + 1) * idx.fam.f
 
     def test_dominant_term(self):
-        idx = special_index(3, 1, 1, 6)
+        idx = norm_index(3, 1, 1, 6)
         v = dominant_term_valuation(idx)
         assert v == term_valuation(idx, idx.s)
         assert v <= F(3 - idx.N, 2)
 
     def test_unique_minimum(self):
         for p, f, k, N in [(2, 1, 2, 6), *ORACLE_FAMILIES]:
-            idx = special_index(p, f, k, N)
+            idx = norm_index(p, f, k, N)
             r, v = argmin_term_valuation(idx)
             assert r == idx.s and v == dominant_term_valuation(idx)
 
@@ -309,7 +318,7 @@ class TestTermValuations:
 class TestLegendreScan:
     @pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=str)
     def test_every_term_matches_the_kummer_oracle(self, family):
-        idx = special_index(*family)
+        idx = norm_index(*family)
         vals = scanned(family)
         assert len(vals) == idx.n + 1
         for r, v in enumerate(vals):
@@ -318,7 +327,7 @@ class TestLegendreScan:
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(ORACLE_FAMILIES), st.data())
     def test_drawn_term_matches_the_kummer_oracle(self, family, data):
-        idx = special_index(*family)
+        idx = norm_index(*family)
         r = data.draw(st.integers(0, idx.n))
         assert scanned(family)[r] == term_valuation(idx, r)
 
@@ -330,8 +339,8 @@ class TestLegendreScan:
 SUM_CASES = [
     (family, prec)
     for family in ORACLE_FAMILIES
-    if special_index(*family).n < 50_000
-    for prec in ((1, 2, 3, 5, 20, 60) if special_index(*family).n <= 3004 else (60,))
+    if norm_index(*family).n < 50_000
+    for prec in ((1, 2, 3, 5, 20, 60) if norm_index(*family).n <= 3004 else (60,))
 ]
 # two of them, named for the kernel's two bookkeeping branches:
 # (2, 1, 1, 6) at prec 60: later terms lower base, at r = 1, 3 and s = 7
@@ -357,7 +366,7 @@ def base_events(vals: tuple[int, ...], prec: int) -> tuple[list[int], list[int]]
 class TestSumKernel:
     @pytest.mark.parametrize("family, prec", SUM_CASES, ids=str)
     def test_same_total_as_the_padic_step_loop(self, family, prec):
-        idx = special_index(*family)
+        idx = norm_index(*family)
         try:
             want = reference_sum(idx, prec)._key()
         except PrecisionExhausted:
@@ -382,14 +391,15 @@ class TestSumKernel:
         monkeypatch.setattr(carries, "pow", counting_pow, raising=False)
         monkeypatch.setattr(padics, "pow", counting_pow, raising=False)
         for family, prec in [((3, 1, 1, 6), 60), ((2, 2, 1, 6), 20), DROPS_A_TERM]:
-            idx = special_index(*family)
+            idx = norm_index(*family)
             inverses.clear()
             carries._sum_estimate(idx, prec, None)
             # the carry count behind v_dominant takes its own inverse, mod p
-            assert inverses.count(idx.p**prec) == 1, family
+            p = idx.fam.p
+            assert inverses.count(p**prec) == 1, family
             inverses.clear()
-            padic_binom(idx.lam, idx.n, idx.p, prec + 1)
-            assert inverses == [idx.p ** (prec + 1)], family
+            padic_binom(idx.fam.lam, idx.n, p, prec + 1)
+            assert inverses == [p ** (prec + 1)], family
         inverses.clear()
         assert padic_binom(5, 9, 3, 60).is_zero() and inverses == []
 
@@ -405,19 +415,19 @@ class TestSumKernel:
 
         monkeypatch.setattr(carries, "_split", counting_split)
         for family, prec in [((3, 1, 1, 6), 60), ((2, 1, 1, 6), 60), ((2, 2, 1, 6), 20), DROPS_A_TERM]:
-            idx = special_index(*family)
+            idx = norm_index(*family)
             splits.clear()
             carries._sum_estimate(idx, prec, None)
-            c, n = idx.q - 1, idx.n
+            c, n = idx.fam.q - 1, idx.n
             assert len(splits) <= c * n + n + 2, family
 
 
 class TestSumEstimate:
     def test_small_exact_cross_check(self):
-        idx = special_index(3, 1, 1, 6)
+        idx = norm_index(3, 1, 1, 6)
         rep = sum_estimate(idx, 60)
         # exact rational evaluation of the same signed sum
-        lam, alpha, q = idx.lam, idx.alpha, idx.q
+        lam, alpha, q = idx.fam.lam, idx.alpha, idx.fam.q
         total, b1 = F(0), F(1)
         b2 = F(1)
         for i in range(1, (q - 1) * idx.n + 1):
@@ -434,7 +444,7 @@ class TestSumEstimate:
         assert rep.ok
 
     def test_double_precision_agrees(self):
-        idx = special_index(2, 1, 1, 8)
+        idx = norm_index(2, 1, 1, 8)
         r1 = sum_estimate(idx, 50)
         r2 = sum_estimate(idx, 100)
         assert r1.v_sum == r2.v_sum
@@ -442,10 +452,10 @@ class TestSumEstimate:
 
     def test_desk_scale_cap(self):
         with pytest.raises(ValueError):
-            sum_estimate(special_index(3, 1, 1, 12))
+            sum_estimate(norm_index(3, 1, 1, 12))
 
     def test_monotone_decrease(self):
-        vals = [sum_estimate(special_index(2, 1, 1, N), 40).v_sum for N in (6, 8, 10)]
+        vals = [sum_estimate(norm_index(2, 1, 1, N), 40).v_sum for N in (6, 8, 10)]
         assert vals[0] > vals[1] > vals[2]
         assert all(v <= F(3 - N, 2) for v, N in zip(vals, (6, 8, 10)))
 
@@ -461,7 +471,7 @@ class TestSumMemo:
         return seen, lambda r, n: seen.append((r, n))
 
     def test_repeat_call_returns_the_same_report_without_progress(self):
-        idx = special_index(2, 1, 1, 8)
+        idx = norm_index(2, 1, 1, 8)
         seen, progress = self.counting()
         first = sum_estimate(idx, 40, progress=progress)
         assert seen == [(0, idx.n)]
@@ -470,7 +480,7 @@ class TestSumMemo:
         assert sum_estimate(idx, 40) is first  # progress is not part of the key
 
     def test_another_prec_recomputes(self):
-        idx = special_index(2, 1, 1, 8)
+        idx = norm_index(2, 1, 1, 8)
         seen, progress = self.counting()
         r40 = sum_estimate(idx, 40, progress=progress)
         r50 = sum_estimate(idx, 50, progress=progress)
@@ -479,7 +489,7 @@ class TestSumMemo:
         assert r50.total.relprec == 50 and r40.total.relprec == 40
 
     def test_raising_sum_is_not_cached(self, monkeypatch):
-        idx = special_index(2, 1, 1, 6)
+        idx = norm_index(2, 1, 1, 6)
         real, calls = carries._sum_estimate, []
 
         def vanishing_once(*args):
@@ -498,7 +508,7 @@ class TestSumMemo:
 
     def test_memo_is_bounded(self, monkeypatch):
         monkeypatch.setattr(carries, "SUM_MEMO_SIZE", 2)
-        idx = special_index(2, 1, 1, 6)
+        idx = norm_index(2, 1, 1, 6)
         reps = [sum_estimate(idx, prec) for prec in (20, 21, 22)]
         assert list(carries._SUM_MEMO) == [(idx, 21), (idx, 22)]
         assert sum_estimate(idx, 22) is reps[2]

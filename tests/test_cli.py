@@ -328,6 +328,7 @@ BAD_FLAGS = {
     "prec_0": ["sum-estimate", "--prec", "0"],
     "prec_negative": ["zeta-valuations", "--prec", "-5"],
     "order_0": ["ode-check", "--order", "0"],
+    "order_1": ["ode-check", "--order", "1"],
     "cases_0": ["star-props", "--cases", "0"],
     "k_neg_0": ["micro-inverse", "--k-neg", "0"],
     "q_0": ["dwork-check", "--q", "0"],
@@ -338,6 +339,8 @@ BAD_FLAGS = {
     "n_list_not_integers": ["sum-estimate", "--config", "{n_list_words}"],
     "seed_a_bool": ["beta-check", "--config", "{seed_bool}"],
     "d_not_coprime_in_cocycle_check": ["cocycle-check", "--p", "2"],
+    "d_0_in_cocycle_check": ["cocycle-check", "--d", "0"],
+    "d_negative_in_cocycle_check": ["cocycle-check", "--d", "-1"],
 }
 
 
@@ -394,7 +397,7 @@ def test_kummer_summary_row_carries_the_verdict(monkeypatch, capsys):
 
 
 def test_failed_case_table_check_is_not_a_usage_error(monkeypatch, capsys):
-    # special_index runs in validate; its CheckFailed is the command's to report
+    # Family.index runs in validate; its CheckFailed is the command's to report
     real = carries.expected_M
     monkeypatch.setattr(carries, "expected_M", lambda k, q, N: real(k, q, N) + 1)
     code = main(["sum-estimate", "--p", "2", "--f", "1", "--k", "1", "--d", "3", "--N", "6"])

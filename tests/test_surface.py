@@ -188,3 +188,49 @@ def test_no_unused_imports():
 def test_no_assertions_in_the_library():
     found = assertions()
     assert not found, f"a failed check raises CheckFailed, not AssertionError: {found}"
+
+
+# the one place each that builds a `Family`: the CLI from its config, and the
+# series route, which keeps (p, q, k, d) positional for the benchmark's tracer
+FAMILY_BUILDERS = {"cli.RunConfig.family", "zeta.phi_series_coefficient"}
+
+
+def scoped(tree: ast.AST, prefix: str):
+    """Yield (qualname of the innermost enclosing definition, node) for every
+    node under `tree`."""
+    for node in ast.iter_child_nodes(tree):
+        name = f"{prefix}.{node.name}" if is_def(node) else prefix
+        yield name, node
+        yield from scoped(node, name)
+
+
+def family_builders(root: Path = ROOT) -> list[str]:
+    """Where src/padicops calls `Family(...)`, by enclosing definition."""
+    out = []
+    for path in sorted((root / "src" / "padicops").glob("*.py")):
+        for where, node in scoped(ast.parse(path.read_text()), path.stem):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "Family":
+                    out.append(where)
+    return out
+
+
+def test_family_is_built_only_where_the_twist_enters():
+    builders = family_builders()
+    assert sorted(set(builders)) == sorted(FAMILY_BUILDERS), builders
+    assert len(builders) == len(FAMILY_BUILDERS), builders
+
+
+def test_zeta_takes_the_family_whole():
+    """No function of zeta but the series route reads k and d apart."""
+    split = []
+    tree = ast.parse((ROOT / "src" / "padicops" / "zeta.py").read_text())
+    for where, node in scoped(tree, "zeta"):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            names = {a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]}
+            if {"k", "d"} <= names and where != "zeta.phi_series_coefficient":
+                split.append(where)
+    assert not split, f"take a carries.Family instead of k and d: {split}"

@@ -65,7 +65,7 @@ class TestUnitRatio:
 
 class TestCocycleC:
     def test_constant_term_and_power(self):
-        c = build_cocycle_c(*PARAMS, 40)
+        c = build_cocycle_c(Family(*PARAMS), 40)
         assert c[0] == 1
         ratio, _ = unit_ratio(3, 3, 40)
         assert (c**4 - ratio).is_zero()
@@ -80,36 +80,37 @@ class TestCocycleC:
             "from padicops.series import QSeries\n"
             "real = QSeries.pow_fractional\n"
             "QSeries.pow_fractional = lambda u, a: real(u, a) + QSeries.of([0, 0, 1], u.order)\n"
-            "print(zeta.build_cocycle_c(3, 3, 1, 4, 10))\n"
+            "from padicops.carries import Family\n"
+            "print(zeta.build_cocycle_c(Family(3, 3, 1, 4), 10))\n"
         )
         proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
         assert proc.returncode != 0 and "does not recover the unit ratio" in proc.stderr, proc.stdout + proc.stderr
 
     def test_higher_k(self):
-        c = build_cocycle_c(3, 3, 2, 4, 30)
+        c = build_cocycle_c(Family(3, 3, 2, 4), 30)
         ratio, _ = unit_ratio(3, 3, 30)
         assert (c**4 - ratio**2).is_zero()
 
     def test_excluded_trivial_twist(self):
         with pytest.raises(ValueError):
-            build_cocycle_c(3, 3, 4, 4, 10)
+            build_cocycle_c(Family(3, 3, 4, 4), 10)
 
     def test_divisibility_preconditions(self):
         with pytest.raises(ValueError):
-            build_cocycle_c(3, 3, 1, 3, 10)  # d | q+1 fails
+            build_cocycle_c(Family(3, 3, 1, 3), 10)  # d | q+1 fails
         with pytest.raises(ValueError):
-            build_cocycle_c(2, 2, 1, 2, 10)  # p | d
+            build_cocycle_c(Family(2, 2, 1, 2), 10)  # p | d
 
 
 class TestAlphaJ:
     def test_first_coefficient(self):
-        rep = alpha_and_j(3, 1, 4, 40)
+        rep = alpha_and_j(Family(3, 3, 1, 4), 40)
         assert rep.alphas[0] == -1 / (F(3, 4) + 1)
         assert rep.residual_zero
 
     def test_denominators_never_vanish(self):
         for q, k, d in [(3, 1, 4), (3, 2, 4), (2, 1, 3), (3, 3, 4), (5, 1, 6), (5, 2, 6)]:
-            rep = alpha_and_j(q, k, d, 60)
+            rep = alpha_and_j(Family(q, q, k, d), 60)
             assert rep.residual_zero
 
     def test_wrong_binomial_fails_the_identity(self, monkeypatch):
@@ -120,22 +121,22 @@ class TestAlphaJ:
             return s + QSeries.of([0] * 2 * stride + [1], order)
 
         monkeypatch.setattr(zeta, "binomial_series", off_by_one)
-        assert alpha_and_j(3, 1, 4, 40).residual_zero is False
+        assert alpha_and_j(Family(3, 3, 1, 4), 40).residual_zero is False
 
 
 class TestZetaSeries:
     def test_two_routes_agree(self):
-        assert ode_residual(*PARAMS, 150).recurrence_matches
+        assert ode_residual(Family(*PARAMS), 150).recurrence_matches
 
     def test_constant_term_is_minus_p(self):
         # the r = 0 bracket tends to -1 at the origin, so the value is -p
         for p, q, k, d in [(3, 3, 1, 4), (2, 2, 1, 3), (3, 3, 3, 4)]:
-            assert zeta_series(p, q, k, d, 5)[0] == -p
+            assert zeta_series(Family(p, q, k, d), 5)[0] == -p
 
     def test_low_coefficients_come_from_first_bracket(self):
         # below y^(q-1), only the r = 0 term contributes
         p, q, k, d = PARAMS
-        z = zeta_series(*PARAMS, q)
+        z = zeta_series(Family(*PARAMS), q)
         lam = F(k, d)
         mu = 1 + q * lam
         b = F(1)
@@ -152,7 +153,7 @@ class TestZetaSeries:
         p, q, k, d = PARAMS
         order = 51
         lam = F(k, d)
-        alphas = alpha_and_j(q, k, d, order).alphas
+        alphas = alpha_and_j(Family(*PARAMS), order).alphas
         inner = QSeries(tuple(F(1) if j >= 1 else F(0) for j in range(order + 1)))  # y/(1-y)
         pref = binomial_series(q * lam, order + 1)  # (1-y)^(qk/d)
         total = QSeries.zero(order + 1)
@@ -169,26 +170,26 @@ class TestZetaSeries:
             if (q - 1) * m > order:
                 break
         z_alt = (total * binomial_series(-lam, order + 1, q - 1)).scale(-p).truncate(order)
-        z = zeta_series(p, q, k, d, order)
+        z = zeta_series(Family(*PARAMS), order)
         assert (z - z_alt).is_zero()
 
     def test_ode_residual_zero(self):
-        rep = ode_residual(*PARAMS, 120)
+        rep = ode_residual(Family(*PARAMS), 120)
         assert rep.residual_is_zero and rep.recurrence_matches
 
     def test_ode_residual_other_parameters(self):
-        assert ode_residual(2, 2, 1, 3, 100).residual_is_zero
-        assert ode_residual(3, 3, 3, 4, 100).residual_is_zero
-        assert ode_residual(5, 5, 2, 6, 80).residual_is_zero
+        assert ode_residual(Family(2, 2, 1, 3), 100).residual_is_zero
+        assert ode_residual(Family(3, 3, 3, 4), 100).residual_is_zero
+        assert ode_residual(Family(5, 5, 2, 6), 80).residual_is_zero
         # prime-power residue size q = p^2
-        assert ode_residual(2, 4, 1, 5, 80).residual_is_zero
-        assert ode_residual(2, 4, 1, 5, 80).recurrence_matches
+        rep = ode_residual(Family(2, 4, 1, 5), 80)
+        assert rep.residual_is_zero and rep.recurrence_matches
 
     def test_nabla_against_finite_differences(self):
         # sanity on a polynomial: nabla(f) = -(1/p)(y^2 f' - (qk/d) y f - ...)
         p, q, k, d = PARAMS
         f = QSeries.of([1, 2, 0, 5], 12)
-        got = nabla_apply(f, p, q, k, d)
+        got = nabla_apply(f, Family(*PARAMS))
         geom = binomial_series(-1, 12, q - 1)
         want = (
             f.euler_derivative().shift(1)
@@ -198,24 +199,24 @@ class TestZetaSeries:
         assert (got - want).is_zero()
 
     def test_convergence_at_radius_one_over_p(self):
-        z = zeta_series(*PARAMS, 150)
+        z = zeta_series(Family(*PARAMS), 150)
         assert convergence_margin(z, 3) >= 0
 
 
 class TestXvZero:
     def test_leading_term_and_equation(self):
-        rep = xvzero_series(3, 3, 1, 4, build_cocycle_c(3, 3, 1, 4, 80))
+        rep = xvzero_series(Family(3, 3, 1, 4), build_cocycle_c(Family(3, 3, 1, 4), 80))
         assert rep.leading_term == 3
         assert rep.residual_is_zero
 
     def test_other_parameters(self):
-        rep = xvzero_series(2, 2, 1, 3, build_cocycle_c(2, 2, 1, 3, 60))
+        rep = xvzero_series(Family(2, 2, 1, 3), build_cocycle_c(Family(2, 2, 1, 3), 60))
         assert rep.leading_term == 2 and rep.residual_is_zero
-        rep = xvzero_series(2, 4, 1, 5, build_cocycle_c(2, 4, 1, 5, 40))
+        rep = xvzero_series(Family(2, 4, 1, 5), build_cocycle_c(Family(2, 4, 1, 5), 40))
         assert rep.leading_term == 2 and rep.residual_is_zero
 
     def test_h_orders_increase(self):
-        hs = h_sequence_y(3, 3, 1, 4, 10, 30)
+        hs = h_sequence_y(Family(3, 3, 1, 4), 10, 30)
         for n, h in enumerate(hs):
             lead = next((j for j, c in enumerate(h.coeffs) if c != 0), None)
             if lead is not None and n > 0:
@@ -314,7 +315,7 @@ class TestProfile:
         # [s^n] (1/p)(1-s)^(k/d) Phi(zeta) in exact rationals, for n = 1..12
         n_max = 12
         for p, q, k, d in ROUTE_CASES:
-            z = zeta_series(p, q, k, d, (q - 1) * n_max + 1)
+            z = zeta_series(Family(p, q, k, d), (q - 1) * n_max + 1)
             phi = QSeries(z.coeffs[:: q - 1])  # the K[[s]]-component, s = y^(q-1)
             exact = phi * binomial_series(F(k, d), n_max + 1, 1)
             for n in range(1, n_max + 1):
@@ -331,30 +332,38 @@ class TestProfile:
     ])
     def test_every_row_cross_checked(self, p, f, k, d, levels):
         prec = 60
-        rows = phi_valuation_profile(p, f, k, d, levels, prec)
+        rows = phi_valuation_profile(Family(p, p**f, k, d), levels, prec)
         assert [row.idx.N for row in rows] == levels
         for row in rows:
             assert row.cross_checked and row.agreement_digits >= prec, row
 
     def test_cross_validation_small_level(self):
-        rows = phi_valuation_profile(2, 1, 1, 3, [6], prec=50)
+        rows = phi_valuation_profile(Family(2, 2, 1, 3), [6], prec=50)
         assert rows[0].cross_checked and rows[0].agreement_digits >= 25
         assert rows[0].report.ok
 
     def test_disagreeing_routes_are_not_cross_checked(self, monkeypatch):
         monkeypatch.setattr(zeta, "phi_series_coefficient", off_in_fifth_digit(zeta.phi_series_coefficient))
-        row = phi_valuation_profile(3, 1, 1, 4, [6], prec=60)[0]
+        row = phi_valuation_profile(Family(3, 3, 1, 4), [6], prec=60)[0]
         assert row.agreement_digits == 5 and not row.cross_checked
 
     def test_disagreeing_routes_fail_the_command(self, monkeypatch, capsys):
-        monkeypatch.setattr(zeta, "phi_series_coefficient", off_in_fifth_digit(zeta.phi_series_coefficient))
-        code = cli.main(["zeta-valuations", "--p", "3", "--k", "1", "--d", "4", "--N", "6,8"])
-        report = json.loads(capsys.readouterr().out)
-        assert code == cli.EXIT_MATH == 1
-        assert report["verdict"] == "fail"
-        assert [row["agreement_digits"] for row in report["rows"]] == [5, 5]
-        assert not any(row["ok"] for row in report["rows"])
+        # at prec 1, where prec // 2 is 0, the planted route returns the unit 1
+        # for coefficients of valuation -3 and -4: no digit agrees
+        def unit_one(p, q, k, d, n_target, prec):
+            return PadicNumber.from_rational(1, p, prec)
+
+        plants = [([], off_in_fifth_digit(zeta.phi_series_coefficient), [5, 5]),
+                  (["--prec", "1"], unit_one, [0, 0])]
+        for flags, route, digits in plants:
+            monkeypatch.setattr(zeta, "phi_series_coefficient", route)
+            code = cli.main(["zeta-valuations", "--p", "3", "--k", "1", "--d", "4", "--N", "6,8", *flags])
+            report = json.loads(capsys.readouterr().out)
+            assert code == cli.EXIT_MATH == 1, flags
+            assert report["verdict"] == "fail"
+            assert [row["agreement_digits"] for row in report["rows"]] == digits
+            assert not any(row["ok"] for row in report["rows"])
 
     def test_rejects_bad_d(self):
         with pytest.raises(ValueError):
-            phi_valuation_profile(3, 1, 1, 3, [6])
+            phi_valuation_profile(Family(3, 3, 1, 3), [6])
