@@ -3,8 +3,8 @@
 Subpackage map:
 
 - padics: valuations, capped-precision p-adic numbers, binomials
-- carries: carry functions, Kummer valuations, the special index sums
-- ratfun: exact rational functions, divisors, Mobius action, relators
+- carries: the twist family, carry functions, Kummer valuations, the special index sums
+- ratfun: exact rational functions, divisors, Mobius action
 - cheeses: circle and Gauss valuations of rational functions
 - skew: truncated skew-Laurent operators and the star product
 - twists: twisting automorphisms, microlocal inverses, beta operators

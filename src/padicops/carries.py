@@ -179,14 +179,47 @@ class SpecialIndex:
         return q * self.fam.lam - self.n * (q - 1)
 
 
+# Miller-Rabin with the prime bases 2..41 is exact below PRIME_BOUND, the
+# smallest strong pseudoprime to all of them (Sorenson and Webster, 2015).
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def strong_probable_prime(n: int, a: int) -> bool:
+    """The Miller-Rabin test of odd n > 2 to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality for n < PRIME_BOUND."""
+    if n >= PRIME_BOUND:
+        raise ValueError(f"{n} is past the bound {PRIME_BOUND} of the deterministic test")
+    if n < 2:
+        return False
+    if any(n % a == 0 for a in PRIME_BASES):
+        return n in PRIME_BASES
+    return all(strong_probable_prime(n, a) for a in PRIME_BASES)
+
+
 @dataclass(frozen=True)
 class Family:
     """The twist parameters (p, q, k, d), checked and normalised in one place.
 
-    q = p^f with f >= 1, d divides q + 1 and is coprime to p, and 1 <= k < d
-    (k = d is the excluded trivial twist).  Every rule is checked when the
-    family is built, and f is found then.  Normalised to d = q + 1 the family
-    has k_norm = k(q+1)/d in 1..q, and lam = k/d = k_norm/(q+1).
+    p is prime, q = p^f with f >= 1, d divides q + 1 and is coprime to p,
+    and 1 <= k < d (k = d is the excluded trivial twist).  Every rule is
+    checked when the family is built, and f is found then.  Normalised to
+    d = q + 1 the family has k_norm = k(q+1)/d in 1..q, and
+    lam = k/d = k_norm/(q+1).
     """
 
     p: int
@@ -197,8 +230,10 @@ class Family:
 
     def __post_init__(self) -> None:
         p, q, k, d = self.p, self.q, self.k, self.d
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
         f, pf = 0, 1
-        while p > 1 and pf < q:
+        while pf < q:
             f, pf = f + 1, pf * p
         if f < 1 or pf != q:
             raise ValueError(f"q = {q} is not a power of p = {p}")

@@ -42,38 +42,6 @@ class ConfigError(ValueError):
     pass
 
 
-# Miller-Rabin with the prime bases 2..41 is exact below PRIME_BOUND, the
-# smallest strong pseudoprime to all of them (Sorenson and Webster, 2015).
-PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-PRIME_BOUND = 3_317_044_064_679_887_385_961_981
-
-
-def strong_probable_prime(n: int, a: int) -> bool:
-    """The Miller-Rabin test of odd n > 2 to base a."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    x = pow(a, d, n)
-    if x == 1 or x == n - 1:
-        return True
-    for _ in range(s - 1):
-        x = x * x % n
-        if x == n - 1:
-            return True
-    return False
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic primality for n < PRIME_BOUND."""
-    if n >= PRIME_BOUND:
-        raise ValueError(f"{n} is past the bound {PRIME_BOUND} of the deterministic test")
-    if n < 2:
-        return False
-    if any(n % a == 0 for a in PRIME_BASES):
-        return n in PRIME_BASES
-    return all(strong_probable_prime(n, a) for a in PRIME_BASES)
-
-
 @dataclass
 class RunConfig:
     p: int = 3
@@ -101,9 +69,11 @@ class RunConfig:
         the family (p, q, k, d) unless `family_data` is false, and with it each
         level of n_list if `level_data`.  With no argument this checks
         everything `all` reads."""
-        if self.p >= PRIME_BOUND:
-            raise ConfigError(f"p = {self.p} is too large: primality is certified only below {PRIME_BOUND}")
-        if not is_prime(self.p):
+        if self.p >= carries.PRIME_BOUND:
+            raise ConfigError(
+                f"p = {self.p} is too large: primality is certified only below {carries.PRIME_BOUND}"
+            )
+        if not carries.is_prime(self.p):
             raise ConfigError(f"p = {self.p} is not prime")
         if self.fmt not in ("json", "csv"):
             raise ConfigError(f"unknown format {self.fmt!r}")

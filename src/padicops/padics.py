@@ -150,10 +150,6 @@ class PadicNumber:
     def absprec(self) -> int:
         return self.val + self.relprec
 
-    def valuation(self) -> int | float:
-        """Known valuation; INF for a tracked zero (true valuation >= absprec)."""
-        return INF if self.is_zero() else self.val
-
     def digits(self, count: int | None = None) -> tuple[int, ...]:
         """Base-p digits of the unit part, lowest first."""
         count = self.relprec if count is None else min(count, self.relprec)
@@ -218,9 +214,6 @@ class PadicNumber:
             return self
         return PadicNumber(self.p, self.val, _ppow(self.p, self.relprec) - self.unit, self.relprec)
 
-    def __sub__(self, other: PadicNumber) -> PadicNumber:
-        return self + (-other)
-
     def __mul__(self, other: PadicNumber) -> PadicNumber:
         p = self.p
         if other.p != p:
@@ -232,20 +225,6 @@ class PadicNumber:
             return PadicNumber.zero(p, a + b)
         rel = min(self.relprec, other.relprec)
         return PadicNumber(p, self.val + other.val, self.unit * other.unit % _ppow(p, rel), rel)
-
-    def __truediv__(self, other: PadicNumber) -> PadicNumber:
-        if other.p != self.p:
-            raise ValueError("mixed primes")
-        if other.is_zero():
-            raise PrecisionExhausted(
-                f"division by a value indistinguishable from zero mod p^{other.absprec}"
-            )
-        if self.is_zero():
-            return PadicNumber.zero(self.p, self.absprec - other.val)
-        rel = min(self.relprec, other.relprec)
-        mod = _ppow(self.p, rel)
-        unit = self.unit * pow(other.unit, -1, mod) % mod
-        return PadicNumber(self.p, self.val - other.val, unit, rel)
 
     def mul_rational(self, num: int, den: int, prec: int | None = None) -> PadicNumber:
         """self * num/den for integers num, den (not necessarily coprime).
@@ -267,15 +246,6 @@ class PadicNumber:
         rel = min(self.relprec, prec)
         mod = _ppow(p, rel)
         return PadicNumber(p, self.val + v, self.unit * num * pow(den, -1, mod) % mod, rel)
-
-    # -- comparisons -----------------------------------------------------
-
-    def same_mod(self, other: PadicNumber, absprec: int) -> bool:
-        """True if self == other mod p^absprec, as far as both are known."""
-        d = self - other
-        if d.absprec < absprec:
-            raise PrecisionExhausted(f"operands only known mod p^{d.absprec}")
-        return d.is_zero() or d.val >= absprec
 
 
 # slot setters for __init__, which has to get past the immutable __setattr__

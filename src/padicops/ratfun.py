@@ -1,5 +1,5 @@
 """Exact rational-function arithmetic with divisor tracking, the Mobius
-group action, logarithmic derivatives and the first-order relators.
+group action and logarithmic derivatives.
 
 Poles are restricted to rational points and the denominator is carried in
 factored form prod (x - r)^m throughout; common factors are cancelled by
@@ -174,6 +174,8 @@ class Poly(IntegerNumerators):
         return _lead_nonzero([c * n for c in self.num], self.den * a.denominator)
 
     def __pow__(self, n: int) -> Poly:
+        if n < 0:
+            raise ValueError(f"Poly ** {n}: a polynomial has no negative powers")
         out, base = (None if n else Poly.of(1)), self
         while n:
             if n & 1:
@@ -217,21 +219,15 @@ class Poly(IntegerNumerators):
             return _ZERO
         return _lead_nonzero(derive(num), self.den)
 
-    def _horner(self, x: Rational) -> int:
-        """den xd^n p(x) for x = xn/xd and n = deg p: an integer, zero iff p(x) is."""
+    def is_root(self, x: Rational) -> bool:
+        """p(x) == 0, without building the quotient that synth_div would: for
+        x = xn/xd and n = deg p, Horner's rule gives the integer den xd^n p(x)."""
         xn, xd = x.numerator, x.denominator
         acc, pw = 0, 1
         for c in reversed(self.num):
             acc = acc * xn + c * pw
             pw *= xd
-        return acc
-
-    def eval(self, x: Rational) -> Fraction:
-        return Fraction(self._horner(x), self.den * x.denominator ** max(self.degree(), 0))
-
-    def is_root(self, x: Rational) -> bool:
-        """p(x) == 0, without building the quotient that synth_div would."""
-        return self._horner(x) == 0
+        return acc == 0
 
     def shift(self, a: Rational) -> Poly:
         """p(x + a), by an integer Taylor shift.
@@ -528,15 +524,6 @@ class RationalFunction(_Immutable):
             acc = acc - self.num.scale(m) * d0.synth_div(r)[0]
         return _raw_rf(acc, tuple((r, m + 1) for r, m in self.den_factors))
 
-    def eval(self, x: Rational) -> Fraction:
-        den = Fraction(1)
-        for r, m in self.den_factors:
-            t = Fraction(x) - r
-            if t == 0:
-                raise ZeroDivisionError(f"pole at {x}")
-            den *= t**m
-        return self.num.eval(x) / den
-
     # -- divisors ------------------------------------------------------------
 
     def divisor(self) -> dict[Fraction, int]:
@@ -625,15 +612,6 @@ class MobiusMap:
     def det(self) -> Fraction:
         return self.a * self.d - self.b * self.c
 
-    def is_triangular(self) -> bool:
-        return self.c == 0
-
-    def varrho(self) -> Fraction:
-        """The character a/d, defined for upper-triangular maps only."""
-        if not self.is_triangular():
-            raise ValueError("varrho is defined only for upper-triangular maps")
-        return self.a / self.d
-
     def __mul__(self, other: MobiusMap) -> MobiusMap:
         return MobiusMap(
             self.a * other.a + self.b * other.c,
@@ -646,12 +624,6 @@ class MobiusMap:
         return MobiusMap(self.d, -self.b, -self.c, self.a)
 
     # -- actions -----------------------------------------------------------
-
-    def act_point(self, z: Rational) -> Fraction:
-        den = self.c * Fraction(z) + self.d
-        if den == 0:
-            raise ZeroDivisionError("point maps to infinity")
-        return (self.a * Fraction(z) + self.b) / den
 
     def act_x(self) -> RationalFunction:
         """The image of the coordinate function x."""
@@ -691,52 +663,3 @@ class MobiusMap:
         # nonzero multiple of num(r) at the image of r and of (det/c)^deg at
         # a/c; the zero function has no poles and keeps its normal form
         return _raw_rf(pn.scale(scalar), tuple(sorted(new_den)))
-
-    def act_partial_coefficient(self) -> RationalFunction:
-        """g.(d/dx) = ((-cx + a)^2/det) d/dx; returns the coefficient."""
-        return RationalFunction(Poly.of(self.a, -self.c) ** 2).scale(1 / self.det)
-
-
-# ---------------------------------------------------------------------------
-# Relators
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FirstOrderOperator:
-    """c1 * d/dx + c0 with rational-function coefficients."""
-
-    c1: RationalFunction
-    c0: RationalFunction
-
-    def scale(self, a: Rational) -> FirstOrderOperator:
-        return FirstOrderOperator(self.c1.scale(a), self.c0.scale(a))
-
-
-def delta_poly(points: Iterable[Rational]) -> Poly:
-    out = Poly.of(1)
-    for a in points:
-        out = out * Poly.x_minus(a)
-    return out
-
-
-def relator(points: set[Fraction] | set[Rational], u: RationalFunction, d: int) -> FirstOrderOperator:
-    """The operator Delta * (d/dx - (1/d) dlog(u)) with Delta = prod (x-a).
-
-    Expanded form: Delta * d/dx - (1/d) sum_a v_a(u) prod_{b != a} (x - b).
-    The divisor support of u must be contained in the given point set.
-    """
-    if d == 0:
-        raise ValueError("d must be non-zero")
-    pts = {Fraction(a) for a in points}
-    div = u.divisor()
-    if not set(div) <= pts:
-        raise ValueError(f"divisor support {set(div)} not contained in {pts}")
-    delta = RationalFunction(delta_poly(pts))
-    zero_part = Poly(())
-    for a in pts:
-        v = div.get(a, 0)
-        if v:
-            zero_part = zero_part + delta_poly(pts - {a}).scale(v)
-    c0 = RationalFunction(zero_part).scale(Fraction(-1, d))
-    return FirstOrderOperator(delta, c0)

@@ -122,12 +122,6 @@ class SkewLaurentSeries:
     def __sub__(self, other: SkewLaurentSeries) -> SkewLaurentSeries:
         return self + (-other)
 
-    def scale(self, a) -> SkewLaurentSeries:
-        f = _rf(a)
-        return SkewLaurentSeries(
-            {k: f * v for k, v in self.coeffs.items()}, self.lo_exact, self.hi_exact
-        )
-
 
 def _numerators(*windows: SkewLaurentSeries) -> tuple[list[Mapping[int, RF | Poly]], bool]:
     """Each window's coefficient map, and whether the maps hold the Poly

@@ -19,8 +19,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cheeses import gauss_valuation
-from .padics import INF, binom_rational, varpi_valuation, vp_factorial, vp_rational
-from .ratfun import MobiusMap, Poly, RationalFunction, dlog
+from .padics import INF, varpi_valuation, vp_factorial, vp_rational
+from .ratfun import MobiusMap, RationalFunction, dlog
 from .skew import SkewLaurentSeries, apply_to_function, star
 
 RF = RationalFunction
@@ -58,12 +58,6 @@ def h_sequence(u: RF, d: int, depth: int, p: int | None = None) -> TwistData:
         nxt = (h[ell].derivative() + h1 * h[ell]).scale(Fraction(1, ell + 1))
         h.append(nxt)
     return TwistData(u, d, tuple(h[: depth + 1]))
-
-
-def h_closed_form_monomial(alpha, k: int, d: int, n: int) -> RF:
-    """h[n] for u = (x - alpha)^k: binom(-k/d, n) (x - alpha)^(-n)."""
-    c = binom_rational(Fraction(-k, d), n)
-    return RF(Poly.of(1), {alpha: n}).scale(c)
 
 
 def theta_apply(tw: TwistData, q: SkewLaurentSeries) -> SkewLaurentSeries:
@@ -261,12 +255,7 @@ def cocycle(u: RF, d: int, g: MobiusMap, depth: int, p: int) -> RF:
     The omitted tail has reference valuation > depth * v(g.x - x), so the
     partial sum determines the unit to that precision.
     """
-    tw = h_sequence(u, d, depth, p)
-    return cocycle_from_tw(tw, g, depth)
-
-
-def cocycle_from_tw(tw: TwistData, g: MobiusMap, depth: int) -> RF:
-    return cocycle_partial_sums(tw, displacement(g), depth)[-1]
+    return cocycle_partial_sums(h_sequence(u, d, depth, p), displacement(g), depth)[-1]
 
 
 def cocycle_partial_sums(tw: TwistData, w: RF, depth: int) -> list[RF]:

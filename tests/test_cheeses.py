@@ -4,6 +4,7 @@ from fractions import Fraction as F
 from padicops.cheeses import circle_valuation, gauss_valuation
 from padicops.padics import vp_rational
 from padicops.ratfun import Poly, RationalFunction
+from padicops.twists import h_sequence
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,8 +90,6 @@ class TestDividedPowerNorms:
     def test_twist_coefficient_norm_bound(self):
         # |h[n]| <= rho^(-n) on the unit disc minus holes of smallest radius
         # p^rho: the norm there is the largest of the boundary circle norms
-        from padicops.twists import h_sequence
-
         for holes, u in [
             (((0, 0),), RF.from_factors(1, {0: 2})),
             (((0, -1),), RF.from_factors(1, {0: 1})),

@@ -10,23 +10,20 @@ from pathlib import Path
 import pytest
 
 from padicops import carries, twists
+from padicops.carries import PRIME_BASES, PRIME_BOUND, is_prime, strong_probable_prime
 from padicops.cli import (
     COMMANDS,
     EXIT_MATH,
     EXIT_OK,
     EXIT_PRECISION,
     EXIT_USAGE,
-    PRIME_BASES,
-    PRIME_BOUND,
     ConfigError,
     Report,
     RunConfig,
     emit,
     fmt_val,
-    is_prime,
     main,
     parse_config_file,
-    strong_probable_prime,
 )
 from padicops.padics import PrecisionExhausted
 from padicops.series import QSeries

@@ -1,8 +1,9 @@
 """The library surface: every definition in src/padicops is reached from
 outside the tests, no module of src/padicops or tests/ imports a name it
-never uses, and no check in src/padicops is an `assert` or a
+never uses, no check in src/padicops is an `assert` or a
 `raise AssertionError` (`python -O` strips the one, and neither is the
-`CheckFailed` that the runner turns into a `fail` verdict).
+`CheckFailed` that the runner turns into a `fail` verdict), and the oracles
+in tests/oracles.py use no private name of the code they check.
 
 Module-level code in src/padicops, and all of scripts/ and perfbench/, is
 the root.  A definition is reached when reached code names it; the body of a
@@ -14,7 +15,12 @@ that Python calls implicitly (dunder methods) are reached with the class.
 Dunder methods are not reported.  The match is by name only: it can miss
 dead code that shares a name with live code, but it never reports live code.
 
-A definition that only tests call stays only if KEPT says why.
+A definition that only tests call stays only if KEPT says why, and KEPT
+holds two kinds only: library code that a release gate tests as library
+code (the level-m basis of acceptance criterion 8), and code that the
+benchmark's tracer binds (PSeries, until the tracer is retargeted).  A
+reference implementation that the tests compare against is no such code: it
+lives in tests/oracles.py.
 """
 
 import ast
@@ -30,20 +36,6 @@ KEPT = {
     "skew.DividedPowerOperator": "the level-m basis that acceptance criterion 8 builds",
     "skew.binoma": "oracle for the level-m binomials in TestLevelM",
     "skew.binomb": "oracle for the level-m binomials in TestLevelM",
-    # reference implementations for live code
-    "padics.PadicNumber.same_mod": "compares padic_binom, sum_estimate and the series route",
-    "padics.PadicNumber.valuation": "compares padic_binom and mul_rational with vp_rational",
-    "ratfun.Poly.eval": "pointwise oracle for synth_div, is_root and shift",
-    "ratfun.RationalFunction.eval": "pointwise oracle for rational-function sums and products",
-    "twists.h_closed_form_monomial": "closed-form oracle for h_sequence",
-    "ratfun.MobiusMap.act_point": "checks act_function pointwise",
-    "ratfun.MobiusMap.varrho": "checks act_function on triangular maps",
-    "ratfun.MobiusMap.is_triangular": "checks act_function on triangular maps",
-    "ratfun.relator": "test_relator_factorisations checks theta_partial and theta_apply against it",
-    "ratfun.FirstOrderOperator": "the relator's value type",
-    "ratfun.FirstOrderOperator.scale": "the relator's value type",
-    "ratfun.delta_poly": "builds the relator",
-    "ratfun.MobiusMap.act_partial_coefficient": "test_relator_factorisations checks the twisted action with it",
     # PSeries is bound by the benchmark's tracer (series.PSeries.mul) and
     # goes together with that tracer target
     "series.PSeries.from_rationals": "part of the PSeries type the tracer wraps",
@@ -169,6 +161,27 @@ def assertions(root: Path = ROOT) -> list[str]:
     return out
 
 
+def private_names(root: Path = ROOT) -> set[str]:
+    """The names src/padicops binds (defines or assigns) that start with `_`,
+    dunders aside."""
+    nodes = [n for p in (root / "src" / "padicops").glob("*.py") for n in ast.walk(ast.parse(p.read_text()))]
+    names = {n.name for n in nodes if is_def(n)}
+    names |= {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    return {n for n in names if n.startswith("_") and not is_dunder(n)}
+
+
+def private_reads(source: str, private: set[str]) -> list[str]:
+    """Where `source` imports one of the `private` names from padicops, or
+    reads one as an attribute."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "padicops":
+            out += [f"import {a.name} (line {node.lineno})" for a in node.names if a.name in private]
+        elif isinstance(node, ast.Attribute) and node.attr in private:
+            out.append(f".{node.attr} (line {node.lineno})")
+    return out
+
+
 def test_every_definition_is_reached_or_kept():
     dead = [q for q in unreached() if q not in KEPT]
     assert not dead, f"reached only from tests (delete, or say in KEPT why they stay): {dead}"
@@ -234,3 +247,14 @@ def test_zeta_takes_the_family_whole():
             if {"k", "d"} <= names and where != "zeta.phi_series_coefficient":
                 split.append(where)
     assert not split, f"take a carries.Family instead of k and d: {split}"
+
+
+def test_oracles_use_no_private_name_of_the_library():
+    """An oracle that needs a private helper of the code it checks (such as
+    `_split` or `_key`) is not independent of that code."""
+    private = private_names()
+    assert {"_split", "_key", "_ppow", "_raw"} <= private
+    planted = "from padicops.padics import _split\nfrom padicops.ratfun import Poly\nPoly.of(1)._key()\n"
+    assert len(private_reads(planted, private)) == 2
+    found = private_reads((ROOT / "tests" / "oracles.py").read_text(), private)
+    assert not found, f"tests/oracles.py reads private names of padicops: {found}"

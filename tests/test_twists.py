@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 from padicops.cheeses import gauss_valuation
-from padicops.padics import vp_factorial
-from padicops.ratfun import MobiusMap, Poly, RationalFunction, relator
+from padicops.padics import binom_rational, vp_factorial
+from oracles import h_closed_form_monomial, relator
+from padicops.ratfun import MobiusMap, Poly, RationalFunction
 from padicops import twists
 from padicops.cli import main
 from padicops.skew import SkewLaurentSeries, apply_to_function, star
@@ -18,11 +19,9 @@ from padicops.twists import (
     beta_substitution_exact,
     beta_tail_valuation,
     cocycle,
-    cocycle_from_tw,
     cocycle_identities,
     cocycle_partial_sums,
     displacement,
-    h_closed_form_monomial,
     h_sequence,
     in_group_of_radius,
     micro_inverse_residual,
@@ -143,8 +142,6 @@ class TestTheta:
         u = RF.from_factors(1, {a: k})
         tw_inv = h_sequence(u.inverse(), d, 12)
         rng = random.Random(17)
-        from padicops.padics import binom_rational
-
         for _ in range(20):
             P = {n: Poly.of(*[rng.randint(-3, 3) for _ in range(2)]) for n in range(rng.randint(1, 6))}
             Pop = S.of(P)
@@ -371,7 +368,7 @@ class TestCocycle:
         bg = beta_build(g, depth)
         lhs = theta_apply(tw, bg)
         for alpha in range(depth + 1):
-            assert lhs[alpha] == bg[alpha] * cocycle_from_tw(tw, g, depth - alpha)
+            assert lhs[alpha] == bg[alpha] * cocycle(x, 2, g, depth - alpha, p)
 
     def test_identities_check(self):
         g = MobiusMap.of(6, 5, 25, 1)
@@ -380,9 +377,9 @@ class TestCocycle:
 
     def test_partial_sums_are_the_cut_cocycles(self):
         g = MobiusMap.of(6, 5, 25, 1)
-        tw = h_sequence(RF.from_factors(1, {5: 2}) * x, 3, 9, 5)
-        sums = cocycle_partial_sums(tw, displacement(g), 9)
-        assert sums == [cocycle_from_tw(tw, g, a) for a in range(10)]
+        u = RF.from_factors(1, {5: 2}) * x
+        sums = cocycle_partial_sums(h_sequence(u, 3, 9, 5), displacement(g), 9)
+        assert sums == [cocycle(u, 3, g, a, 5) for a in range(10)]
 
     def test_identities_check_fails_without_the_linear_term(self, monkeypatch):
         def drop_linear(tw, w, depth):
