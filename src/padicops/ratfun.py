@@ -620,9 +620,6 @@ class MobiusMap:
             self.c * other.b + self.d * other.d,
         )
 
-    def inverse(self) -> MobiusMap:
-        return MobiusMap(self.d, -self.b, -self.c, self.a)
-
     # -- actions -----------------------------------------------------------
 
     def act_x(self) -> RationalFunction:

@@ -84,6 +84,23 @@ class QSeries(IntegerNumerators):
                     out[j] += x * y
         return _make(out, self.den * other.den)
 
+    def square(self) -> QSeries:
+        """The truncated self * self with each cross product formed once: the
+        y^k slot is sum_(i<j, i+j=k) 2 a_i a_j, plus a_(k/2)^2 for even k."""
+        a = self.num
+        n = len(a)
+        half = (n + 1) // 2  # the i with 2i < n
+        out = [0] * n
+        for i in range(half):
+            x = a[i]
+            if x:
+                for j, y in enumerate(a[i + 1 : n - i], 2 * i + 1):
+                    out[j] += x * y
+        out = [2 * c for c in out]
+        for i in range(half):
+            out[2 * i] += a[i] * a[i]
+        return _make(out, self.den * self.den)
+
     def scale(self, a: Rational) -> QSeries:
         a = Fraction(a)
         return _make([c * a.numerator for c in self.num], self.den * a.denominator)
@@ -141,7 +158,7 @@ class QSeries(IntegerNumerators):
                 out = base if out is None else out * base
             n >>= 1
             if n:  # no square past the top bit
-                base = base * base
+                base = base.square()
         return out
 
 

@@ -10,8 +10,13 @@ the bidirectional convolution
 For i >= 0 the inner sum is the D^k coefficient of D^i * v, which `star`
 steps one D at a time (the Ore relation D a = a D + delta(a)); for i < 0 it
 sums the binomial terms.  Either way u_i multiplies one inner sum per degree.
-When no coefficient has a pole, the i >= 0 steps and `transpose` run on
-plain integer lists, each window lifted once over one denominator.
+When the coefficients of the windows have their poles at one point r at
+most, both halves and `transpose` run on integer lists, each window lifted
+once over one denominator: N(x)/(x - r)^m becomes y^(-m) times the
+numerators of N(y + r), y = x - r, so delta lowers the exponent, a product
+adds exponents, and a cancelled pole is a leading zero, stripped when one
+RationalFunction is built per output degree.  Windows with poles at two or
+more points run the same loops on RationalFunctions.
 Negative powers of D make true products infinite in the negative direction,
 so every series records whether its stored support is complete on each side
 (`lo_exact` / `hi_exact`).
@@ -20,6 +25,7 @@ so every series records whether its stored support is complete on each side
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -123,23 +129,52 @@ class SkewLaurentSeries:
         return self + (-other)
 
 
-def _numerators(*windows: SkewLaurentSeries) -> tuple[list[Mapping[int, RF | Poly]], bool]:
-    """Each window's coefficient map, and whether the maps hold the Poly
-    numerators: they do when no coefficient of any window has a pole."""
-    if any(c.den_factors for w in windows for c in w.coeffs.values()):
-        return [w.coeffs for w in windows], False
-    return [{k: c.num for k, c in w.coeffs.items()} for w in windows], True
+def _poles(*windows: SkewLaurentSeries) -> set[Fraction]:
+    """The points where coefficients of the windows have poles."""
+    return {r for w in windows for c in w.coeffs.values() for r, _ in c.den_factors}
 
 
-def _as_rf(out: dict[int, RF | Poly], pole_free: bool) -> dict[int, RF]:
-    """The loop's output coefficients as RationalFunctions."""
-    return {k: _raw_rf(c, ()) for k, c in out.items()} if pole_free else out
+# With one pole point r at most, the loops run on integer lists over one
+# denominator per window.  With no pole a coefficient is the list of its
+# numerators.  With one pole point it is a Laurent pair (e, c), the function
+# y^e sum_t c[t] y^t in y = x - r with e <= 0; c has no trailing zero (it is
+# empty for 0) and keeps the leading zeros of a cancelled pole until
+# `_unlift` strips them.  A pair with e = 0 stays a polynomial.  Pairs made
+# star-props (all pole-free) about 8% slower than bare lists do, so a
+# pole-free window carries bare lists.
 
 
-def _lift(cs: Mapping[int, Poly]) -> tuple[dict[int, Sequence[int]], int]:
-    """The Polys' numerators over the lcm of their denominators, and the lcm."""
-    den = math.lcm(*(c.den for c in cs.values()))
-    return {k: c.num if c.den == den else [x * (den // c.den) for x in c.num] for k, c in cs.items()}, den
+_Laurent = tuple[int, Sequence[int]]
+
+
+def _lift(w: SkewLaurentSeries, poles: set[Fraction]) -> tuple[dict[int, Sequence[int] | _Laurent], int]:
+    """w's coefficients as integer lists over the lcm of their denominators,
+    and that lcm; with a pole point r, N(x)/(x - r)^m becomes the pair
+    (-m, the numerators of N(y + r))."""
+    (r,) = poles or (0,)
+    ns = {k: c.num.shift(r) if r else c.num for k, c in w.coeffs.items()}
+    den = math.lcm(*(n.den for n in ns.values()))
+    cs = {k: n.num if n.den == den else [x * (den // n.den) for x in n.num] for k, n in ns.items()}
+    if not poles:
+        return cs, den
+    return {k: (-c.den_factors[0][1] if c.den_factors else 0, cs[k]) for k, c in w.coeffs.items()}, den
+
+
+def _unlift(cs: Mapping[int, list[int] | _Laurent], den: int, poles: set[Fraction]) -> dict[int, RF]:
+    """The loops' integer lists over den as RationalFunctions, one per degree:
+    leading zeros strip cancelled pole orders, and y is shifted back to x - r."""
+    if not poles:
+        return {k: _raw_rf(_make(c, den), ()) for k, c in cs.items()}
+    (r,) = poles
+    out = {}
+    for k, (e, c) in cs.items():
+        if c:
+            z = 0
+            while e + z < 0 and not c[z]:
+                z += 1
+            num = _make(c[z:] if z else c, den)
+            out[k] = _raw_rf(num.shift(-r) if r else num, ((r, -e - z),) if e + z < 0 else ())
+    return out
 
 
 def _plus(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -152,6 +187,53 @@ def _plus(a: Sequence[int], b: Sequence[int]) -> list[int]:
     while out and not out[-1]:
         out.pop()
     return out
+
+
+def _times(c: Sequence[int], n: int) -> list[int]:
+    return [x * n for x in c]
+
+
+def _delta(a: _Laurent) -> _Laurent:
+    """d/dy of y^e sum c_t y^t, which is y^(e-1) sum (e + t) c_t y^t; for
+    e = 0 the polynomial derivative."""
+    e, c = a
+    if not e:
+        return 0, derive(c)
+    d = [(e + t) * x for t, x in enumerate(c)]
+    while d and not d[-1]:
+        d.pop()
+    return e - 1, d
+
+
+def _add(a: _Laurent, b: _Laurent) -> _Laurent:
+    """The sum of two Laurent pairs, aligned at the lower exponent."""
+    (e, c), (f, d) = a, b
+    if e > f:
+        e, c, f, d = f, d, e, c
+    return e, _plus(c, [0] * (f - e) + list(d) if f > e else d)
+
+
+def _mul(a: _Laurent, b: _Laurent) -> _Laurent:
+    return a[0] + b[0], conv(a[1], b[1])
+
+
+def _scale(a: _Laurent, n: int) -> _Laurent:
+    return a[0], _times(a[1], n)
+
+
+def _is_zero(a: _Laurent) -> bool:
+    return not a[1]
+
+
+def _ops(poles: set[Fraction]) -> tuple:
+    """(delta, +, *, scale by an int, is_zero) on the coefficients the loops
+    carry for windows with these poles: integer lists for none, Laurent
+    pairs for one point, RationalFunctions for two or more."""
+    if len(poles) > 1:
+        return RF.derivative, RF.__add__, RF.__mul__, RF.scale, RF.is_zero
+    if poles:
+        return _delta, _add, _mul, _scale, _is_zero
+    return derive, _plus, conv, _times, operator.not_
 
 
 def star(
@@ -167,10 +249,9 @@ def star(
     upper cut: no coefficient above it is formed; one below `lo` raises
     ValueError.  The result is lo_exact only if no nonzero term fell below
     `lo`, and hi_exact only if no pair was cut at `hi` (max i + max j > hi);
-    it inherits the inputs' exactness.  When no coefficient of u or v has a
-    pole, the i >= 0 half steps integer lists (`_star_nonnegative_ints`), the
-    i < 0 half runs on the Poly numerators, and each output coefficient is
-    wrapped back as a pole-free RF.
+    it inherits the inputs' exactness.  When the coefficients of u and v have
+    their poles at one point r at most, both halves run on integer lists in
+    y = x - r (`_lift`, `_ops`), and one RF is built per output degree.
     """
     if u.is_zero() or v.is_zero():
         return SkewLaurentSeries.zero()
@@ -179,82 +260,63 @@ def star(
         lo = v.lo() if u.lo() >= 0 else u.lo() + v.lo() - DEFAULT_WINDOW
     if hi is not None and hi < lo:
         raise ValueError(f"empty window: hi = {hi} < lo = {lo}")
-    (uc, vc), pole_free = _numerators(u, v)
+    poles = _poles(u, v)
+    if len(poles) > 1:
+        uc, vc = u.coeffs, v.coeffs
+    else:
+        (uc, du), (vc, dv) = _lift(u, poles), _lift(v, poles)
+    ops = _ops(poles)
     pos = {i: ui for i, ui in uc.items() if i >= 0}
     neg = {i: ui for i, ui in uc.items() if i < 0}
-    out: dict[int, RF | Poly] = {}
+    out = {}
     clipped = False
     if pos:
-        out = (_star_nonnegative_ints if pole_free else _star_nonnegative)(pos, vc, lo, hi)
+        out = _star_nonnegative(pos, vc, lo, hi, ops)
         # the term delta^m(v_j) D^(i+j-m), m <= i, falls below lo only for j < lo,
         # and first at m = max(0, i + j - lo + 1), which the least i makes smallest
         i0 = min(pos)
         clipped = any(j < lo and _survives(c, max(0, i0 + j - lo + 1)) for j, c in v.coeffs.items())
     if neg:
-        out_neg, clipped_neg = _star_negative(neg, vc, lo, hi)
+        out_neg, clipped_neg = _star_negative(neg, vc, lo, hi, ops)
+        add = ops[1]
         for k, c in out_neg.items():
-            out[k] = out[k] + c if k in out else c
+            out[k] = add(out[k], c) if k in out else c
         clipped = clipped or clipped_neg
     cut = hi is not None and u.hi() + v.hi() > hi
     lo_exact = u.lo_exact and v.lo_exact and not clipped
     hi_exact = u.hi_exact and v.hi_exact and not cut
-    return SkewLaurentSeries(_as_rf(out, pole_free), lo_exact, hi_exact)
+    return SkewLaurentSeries(out if len(poles) > 1 else _unlift(out, du * dv, poles), lo_exact, hi_exact)
 
 
-def _star_nonnegative(uc: Mapping[int, RF], vc: Mapping[int, RF], lo: int, hi: int | None) -> dict[int, RF]:
+def _star_nonnegative(
+    uc: Mapping[int, object], vc: Mapping[int, object], lo: int, hi: int | None, ops: tuple
+) -> dict:
     """sum_i u_i P_i in degrees lo..hi for i >= 0.  P_0 = v and
     P_i = D * P_(i-1), stepped by D a D^k = a D^(k+1) + delta(a) D^k.
     D only raises degrees, so P_i is kept at degrees <= hi, and in full
     below lo, which P_i[lo] reads."""
-    out: dict[int, RF] = {}
+    delta, add, mul, _, is_zero = ops
+    out = {}
     P = {k: c for k, c in vc.items() if hi is None or k <= hi}
     for i in range(max(uc) + 1):
         if i:
-            nxt: dict[int, RF] = {}
+            nxt = {}
             for k, c in P.items():
-                d = c.derivative()
-                if not d.is_zero():
-                    nxt[k] = nxt[k] + d if k in nxt else d
+                d = delta(c)
+                if not is_zero(d):
+                    nxt[k] = add(nxt[k], d) if k in nxt else d
                 if hi is None or k < hi:
-                    nxt[k + 1] = nxt[k + 1] + c if k + 1 in nxt else c
-            P = {k: c for k, c in nxt.items() if not c.is_zero()}
+                    nxt[k + 1] = add(nxt[k + 1], c) if k + 1 in nxt else c
+            P = {k: c for k, c in nxt.items() if not is_zero(c)}
             if not P:
                 break
         ui = uc.get(i)
         if ui is not None:
             for k, c in P.items():
                 if k >= lo:
-                    term = ui * c
-                    out[k] = out[k] + term if k in out else term
+                    term = mul(ui, c)
+                    out[k] = add(out[k], term) if k in out else term
     return out
-
-
-def _star_nonnegative_ints(uc: Mapping[int, Poly], vc: Mapping[int, Poly], lo: int, hi: int | None) -> dict[int, Poly]:
-    """`_star_nonnegative` for pole-free windows, on integer lists: u and v
-    are each lifted once over one denominator, and one Poly is built per
-    output degree."""
-    (ua, du), (P, dv) = _lift(uc), _lift({k: c for k, c in vc.items() if hi is None or k <= hi})
-    out: dict[int, list[int]] = {}
-    for i in range(max(ua) + 1):
-        if i:
-            nxt: dict[int, list[int]] = {}
-            for k, c in P.items():
-                d = derive(c)
-                if d:
-                    nxt[k] = _plus(nxt[k], d) if k in nxt else d
-                if hi is None or k < hi:
-                    nxt[k + 1] = _plus(nxt[k + 1], c) if k + 1 in nxt else c
-            P = {k: c for k, c in nxt.items() if c}
-            if not P:
-                break
-        ui = ua.get(i)
-        if ui is not None:
-            for k, c in P.items():
-                if k >= lo:
-                    term = conv(ui, c)
-                    out[k] = _plus(out[k], term) if k in out else term
-    den = du * dv
-    return {k: _make(c, den) for k, c in out.items()}
 
 
 def _survives(c: RF, m: int) -> bool:
@@ -262,25 +324,26 @@ def _survives(c: RF, m: int) -> bool:
     return bool(c.den_factors) or c.num.degree() >= m
 
 
-def _star_negative(uc: Mapping[int, RF | Poly], vc: Mapping[int, RF | Poly], lo: int, hi: int | None):
+def _star_negative(uc: Mapping[int, object], vc: Mapping[int, object], lo: int, hi: int | None, ops: tuple):
     """sum_i u_i D^i * v for i < 0 in degrees lo..hi, and whether a term was
     clipped at lo.  Each delta^m(v_j) is computed once and shared by every i,
     each binom(i, m) once per (i, m)."""
-    out: dict[int, RF | Poly] = {}
+    delta, add, mul, scale, is_zero = ops
+    out = {}
     clipped = False
     # derivs[j][m] = delta^m(v_j), grown only as far as some pair needs it
     derivs = {j: [vj] for j, vj in vc.items()}
     for i, ui in uc.items():
         binoms: list[int] = []  # binom(i, m) != 0 for i < 0
         # inner[k] = sum_m binom(i, m) delta^m(v_(k-i+m)): v's poles only
-        inner: dict[int, RF | Poly] = {}
+        inner = {}
         for j, dj in derivs.items():
             m = 0 if hi is None or i + j <= hi else i + j - hi
             while True:
                 while m >= len(dj):
-                    dj.append(dj[-1].derivative())
+                    dj.append(delta(dj[-1]))
                 d = dj[m]
-                if d.is_zero():
+                if is_zero(d):
                     break
                 k = i + j - m
                 if k < lo:
@@ -289,13 +352,13 @@ def _star_negative(uc: Mapping[int, RF | Poly], vc: Mapping[int, RF | Poly], lo:
                 while m >= len(binoms):
                     binoms.append(zbinom(i, len(binoms)))
                 b = binoms[m]
-                term = d if b == 1 else d.scale(b)
-                inner[k] = inner[k] + term if k in inner else term
+                term = d if b == 1 else scale(d, b)
+                inner[k] = add(inner[k], term) if k in inner else term
                 m += 1
         for k, s in inner.items():
-            if not s.is_zero():
-                term = ui * s
-                out[k] = out[k] + term if k in out else term
+            if not is_zero(s):
+                term = mul(ui, s)
+                out[k] = add(out[k], term) if k in out else term
     return out, clipped
 
 
@@ -316,42 +379,28 @@ def apply_to_function(u: SkewLaurentSeries, f: RF | Poly | Rational) -> RF:
 def transpose(u: SkewLaurentSeries) -> SkewLaurentSeries:
     """The anti-automorphism with a^T = a, D^T = -D; requires a nonnegative window.
 
-    A pole-free window runs the loop on integer lists, as `star` does.
+    A window whose coefficients have one pole point at most runs the loop on
+    integer lists, as `star` does.
     """
     if u.lo() < 0:
         raise ValueError("transpose needs a nonnegative window")
-    (uc,), pole_free = _numerators(u)
-    if pole_free:
-        return SkewLaurentSeries(_as_rf(_transpose_ints(uc), True), u.lo_exact, u.hi_exact)
-    out: dict[int, RF] = {}
-    for j, aj in uc.items():
+    poles = _poles(u)
+    if len(poles) > 1:
+        uc = u.coeffs
+    else:
+        uc, den = _lift(u, poles)
+    delta, add, _, scale, is_zero = _ops(poles)
+    out = {}
+    for j, d in uc.items():
         # (a_j D^j)^T = (-1)^j D^j * a_j = (-1)^j sum_k binom(j, j-k) delta^(j-k)(a_j) D^k
-        d = aj
         for k in range(j, -1, -1):
-            b = zbinom(j, j - k) * (-1) ** j
-            if b and not d.is_zero():
-                term = d.scale(b)
-                out[k] = out[k] + term if k in out else term
-            if k:
-                d = d.derivative()
-    return SkewLaurentSeries(out, u.lo_exact, u.hi_exact)
-
-
-def _transpose_ints(uc: Mapping[int, Poly]) -> dict[int, Poly]:
-    """transpose's loop for a pole-free window, on integer lists over one
-    denominator; one Poly is built per output degree."""
-    ints, den = _lift(uc)
-    out: dict[int, list[int]] = {}
-    for j, d in ints.items():
-        for k in range(j, -1, -1):
-            if not d:
+            if is_zero(d):
                 break
-            b = zbinom(j, j - k) * (-1) ** j
-            term = [c * b for c in d]
-            out[k] = _plus(out[k], term) if k in out else term
+            term = scale(d, zbinom(j, j - k) * (-1) ** j)
+            out[k] = add(out[k], term) if k in out else term
             if k:
-                d = derive(d)
-    return {k: _make(c, den) for k, c in out.items()}
+                d = delta(d)
+    return SkewLaurentSeries(out if len(poles) > 1 else _unlift(out, den, poles), u.lo_exact, u.hi_exact)
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,11 @@ def act_point(g: MobiusMap, z) -> Fraction:
     return (g.a * z + g.b) / (g.c * z + g.d)
 
 
+def mobius_inverse(g: MobiusMap) -> MobiusMap:
+    """The adjugate (d, -b; -c, a): the inverse of g as a map of P^1."""
+    return MobiusMap(g.d, -g.b, -g.c, g.a)
+
+
 def varrho(g: MobiusMap) -> Fraction:
     """The character a/d, defined for upper-triangular maps (c = 0) only."""
     if g.c != 0:

@@ -1,5 +1,6 @@
 import math
 import pickle
+import random
 from dataclasses import dataclass
 from fractions import Fraction as F
 
@@ -235,9 +236,11 @@ class TestQSeries:
         want = {0: QSeries.one(8)}
         for n in range(1, 21):
             want[n] = want[n - 1] * base
+        # a squaring is one call of square, an extra bit one of __mul__
         products = []
-        real = QSeries.__mul__
-        monkeypatch.setattr(QSeries, "__mul__", lambda a, b: products.append(1) or real(a, b))
+        for name in ("__mul__", "square"):
+            real = getattr(QSeries, name)
+            monkeypatch.setattr(QSeries, name, lambda *a, real=real: products.append(1) or real(*a))
         for n in range(21):
             products.clear()
             assert base**n == want[n], n
@@ -246,6 +249,17 @@ class TestQSeries:
         products.clear()
         base**4
         assert len(products) == 2
+
+    def test_square_matches_the_product(self):
+        r = random.Random(5)
+        for order in [1, 2] * 4 + [r.randint(3, 40) for _ in range(40)]:
+            # zero slots, and series in y^c with c - 1 zeros of every c
+            stride = r.choice([1, 1, 2, 3])
+            cs = [F(r.randint(-9, 9), r.randint(1, 5)) if j % stride == 0 and r.random() < 0.7 else 0
+                  for j in range(order)]
+            s = QSeries.of(cs, order)
+            assert s.square() == s * s, cs
+        assert QSeries.zero(5).square() == QSeries.zero(5)
 
     def test_binomial_square_root(self):
         b = binomial_series(F(1, 2), 10)

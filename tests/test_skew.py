@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 import padicops
-from padicops import skew
+from padicops import skew, twists
 from padicops.cli import main
 from padicops.padics import vp_rational
 from padicops.ratfun import MobiusMap, Poly, RationalFunction, conv
@@ -291,9 +291,10 @@ class TestStarProduct:
                 assert (got.lo_exact, got.hi_exact) == (want.lo_exact, want.hi_exact)
             d, want = S.of({1: 1}), S({1: f, -1: -f.derivative().derivative()})
             # the products run at the loop's coefficient type: integer lists
-            # (skew.conv) for the pole-free f, RF for the two with poles
+            # (skew.conv) for f with one pole point at most, RF for the one
+            # with poles at two points
             calls = []
-            if f.den_factors:
+            if len(f.den_factors) > 1:
                 mul = RF.__mul__
                 monkeypatch.setattr(RF, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
             else:
@@ -351,8 +352,15 @@ def count_rf_products_and_derivatives(monkeypatch) -> list:
     return calls
 
 
+def force_rf_path(monkeypatch):
+    """Make star and transpose see poles at two points: the loops then run on
+    the windows' RationalFunctions."""
+    monkeypatch.setattr(skew, "_poles", lambda *ws: {F(0), F(1)})
+
+
 class TestPoleFreePath:
-    """Windows with no pole run star and transpose on their Poly numerators."""
+    """Windows whose coefficients have one pole point at most run star and
+    transpose on integer lists."""
 
     def test_matches_the_reference_and_the_rf_path(self, monkeypatch):
         pairs = [(rand_op(), rand_op()) for _ in range(40)]
@@ -361,8 +369,8 @@ class TestPoleFreePath:
         got = [(star(u, v), star(u, v, hi=2), transpose(u) if u.lo() >= 0 else None) for u, v in pairs]
         monkeypatch.undo()
         assert not calls
-        # the same loop on RF coefficients, as windows with a pole take it
-        monkeypatch.setattr(skew, "_numerators", lambda *ws: ([w.coeffs for w in ws], False))
+        # the same loop on RF coefficients, as windows with two pole points take it
+        force_rf_path(monkeypatch)
         for (u, v), (full, cut, t) in zip(pairs, got):
             want = reference_star(u, v)
             checks = [(full, star(u, v)), (cut, star(u, v, hi=2))]
@@ -396,7 +404,7 @@ class TestPoleFreePath:
         got = [(star(u, v, lo, hi), transpose(u) if u.lo() >= 0 else None) for u, v, lo, hi in cases]
         monkeypatch.undo()
         assert not calls
-        monkeypatch.setattr(skew, "_numerators", lambda *ws: ([w.coeffs for w in ws], False))
+        force_rf_path(monkeypatch)
         for (u, v, lo, hi), (prod, t) in zip(cases, got):
             want, old = reference_star(u, v, lo), blocked_star(u, v, lo, hi)
             cut = hi is not None and any(i + j > hi for i in u.coeffs for j in v.coeffs)
@@ -407,8 +415,18 @@ class TestPoleFreePath:
                 assert (new.lo_exact, new.hi_exact) == (ref.lo_exact, ref.hi_exact)
                 assert all(type(c) is RF and c.den_factors == () for c in new.coeffs.values())
 
-    def test_one_pole_among_pole_free_coefficients_takes_the_rf_path(self, monkeypatch):
-        u = S({0: RF(Poly.of(1, 2)), 1: RF(Poly.of(3), {F(1, 2): 1}), 2: RF(Poly.of(0, 1))})
+    def test_one_pole_point_makes_no_rf_product(self, monkeypatch):
+        u = S({0: RF(Poly.of(1, 2)), 1: RF(Poly.of(3), {F(1, 2): 1}), 2: RF(Poly.of(0, 1), {F(1, 2): 2})})
+        v = rand_op()
+        calls = count_rf_products_and_derivatives(monkeypatch)
+        uv, vu, t = star(u, v), star(v, u), transpose(u)
+        monkeypatch.undo()
+        assert not calls
+        assert uv == reference_star(u, v) and vu == reference_star(v, u)
+        assert transpose(t) == u and transpose(uv) == star(transpose(v), t)
+
+    def test_two_pole_points_take_the_rf_path(self, monkeypatch):
+        u = S({0: RF(Poly.of(1, 2)), 1: RF(Poly.of(3), {F(1, 2): 1}), 2: RF(Poly.of(0, 1), {-1: 1})})
         v = rand_op()
         calls = count_rf_products_and_derivatives(monkeypatch)
         uv, vu = star(u, v), star(v, u)
@@ -420,6 +438,42 @@ class TestPoleFreePath:
         assert uv == reference_star(u, v) and vu == reference_star(v, u)
         assert transpose(t) == u and transpose(uv) == star(transpose(v), t)
 
+    def test_laurent_kernel_matches_the_references_and_the_rf_path(self, monkeypatch):
+        # every coefficient has its pole, if any, at one point r; Laurent u,
+        # explicit lo, hi cuts and both exactness flags
+        r = random.Random(23)
+
+        def one_pole(point, lo):
+            coeffs = {}
+            for k in range(lo, lo + r.randint(1, 4)):
+                if r.random() < 0.8:
+                    num = Poly(F(r.randint(-5, 5), r.randint(1, 4)) for _ in range(r.randint(1, 3)))
+                    coeffs[k] = RF(num, {point: r.randint(0, 3)})
+            return S(coeffs or {lo: RF(Poly.of(1), {point: 1})}, r.random() < 0.8, r.random() < 0.8)
+
+        cases = []
+        for _ in range(48):
+            point = r.choice([F(0), F(3), F(1, 2), F(-2, 9)])
+            u, v = one_pole(point, r.randint(-4, 2)), one_pole(point, r.randint(-5, 2))
+            lo = r.choice([None, r.randint(-12, 1), v.lo() + r.randint(1, 3)])
+            window_lo = lo if lo is not None else v.lo() if u.lo() >= 0 else u.lo() + v.lo() - 40
+            hi = r.choice([None, r.randint(window_lo, window_lo + 8)])
+            cases.append((u, v, lo, hi))
+        assert any(c.den_factors for u, v, _, _ in cases for c in u.coeffs.values())
+        calls = count_rf_products_and_derivatives(monkeypatch)
+        got = [(star(u, v, lo, hi), transpose(u) if u.lo() >= 0 else None) for u, v, lo, hi in cases]
+        monkeypatch.undo()
+        assert not calls
+        force_rf_path(monkeypatch)
+        for (u, v, lo, hi), (prod, t) in zip(cases, got):
+            want = reference_star(u, v, lo)
+            cut = hi is not None and any(i + j > hi for i in u.coeffs for j in v.coeffs)
+            assert prod.coeffs == {k: c for k, c in want.coeffs.items() if hi is None or k <= hi}
+            assert (prod.lo_exact, prod.hi_exact) == (want.lo_exact, want.hi_exact and not cut)
+            for new, ref in [(prod, star(u, v, lo, hi))] + ([(t, transpose(u))] if t else []):
+                assert new.coeffs == ref.coeffs
+                assert (new.lo_exact, new.hi_exact) == (ref.lo_exact, ref.hi_exact)
+
     def test_star_props_makes_no_rf_product_or_derivative(self, monkeypatch, capsys):
         default = os.path.join(os.path.dirname(__file__), os.pardir, "default.toml")
         calls = count_rf_products_and_derivatives(monkeypatch)
@@ -427,6 +481,56 @@ class TestPoleFreePath:
         monkeypatch.undo()
         assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
         assert not calls
+
+
+class TestMicroInverse:
+    """micro-inverse is the stage that runs star on Laurent windows, all with
+    their poles at x = 0, so it is the certificate that guards the kernel."""
+
+    default = os.path.join(os.path.dirname(__file__), os.pardir, "default.toml")
+
+    def test_star_calls_make_no_rf_product_or_derivative(self, monkeypatch, capsys):
+        # the h-sequences are built on RFs outside star; count only inside it
+        calls, inside = [], []
+        for name in ("__mul__", "derivative"):
+            real = getattr(RF, name)
+
+            def counting(*a, real=real):
+                if inside:
+                    calls.append(1)
+                return real(*a)
+
+            monkeypatch.setattr(RF, name, counting)
+        stars = []
+
+        def counted_star(*a, **kw):
+            stars.append(1)
+            inside.append(1)
+            try:
+                return star(*a, **kw)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(twists, "star", counted_star)
+        assert main(["micro-inverse", "--config", self.default]) == 0
+        monkeypatch.undo()
+        assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+        assert len(stars) == 12 and not calls
+
+    def test_a_broken_kernel_fails_the_certificate(self, monkeypatch, capsys):
+        real = skew._delta
+
+        def flipped(a):
+            e, c = real(a)
+            return e, [-x for x in c]
+
+        monkeypatch.setattr(skew, "_delta", flipped)
+        assert main(["micro-inverse", "--config", self.default]) == 1
+        monkeypatch.undo()
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "fail"
+        assert not any("error" in row for row in report["rows"])
+        assert any(not row["ok"] for row in report["rows"])
 
 
 class TestApply:
