@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from .padics import (
     INF,
-    DEFAULT_PREC,
     PadicNumber,
     PrecisionExhausted,
     Rational,
@@ -452,7 +451,7 @@ SUM_MEMO_SIZE = 64  # reports kept per process; the oldest is dropped first
 
 def sum_estimate(
     idx: SpecialIndex,
-    prec: int = DEFAULT_PREC,
+    prec: int,
     progress: "callable | None" = None,
 ) -> SumReport:
     """Evaluate the coefficient sum

@@ -17,6 +17,7 @@ reports finished so far are written.
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import json
 import random
@@ -42,6 +43,20 @@ class ConfigError(ValueError):
     pass
 
 
+# how much of the twist family a command reads, each step including the one
+# before it: the root order d, then the family (p, q, k, d), then each level
+# of n_list; a command not listed reads none of it
+TWIST, FAMILY, LEVELS = 1, 2, 3
+READS = {
+    "cocycle-check": TWIST,
+    "ode-check": FAMILY,
+    "sum-estimate": LEVELS,
+    "qexp-check": LEVELS,
+    "zeta-valuations": LEVELS,
+    "all": LEVELS,
+}
+
+
 @dataclass
 class RunConfig:
     p: int = 3
@@ -64,11 +79,12 @@ class RunConfig:
         """The projector parameters that dwork-check runs."""
         return (self.dwork_q,) if self.dwork_q is not None else (2, 3)
 
-    def validate(self, level_data: bool = True, family_data: bool = True, twist_data: bool = True) -> None:
-        """Basic checks always; d at least 1 and coprime to p if `twist_data`;
-        the family (p, q, k, d) unless `family_data` is false, and with it each
-        level of n_list if `level_data`.  With no argument this checks
-        everything `all` reads."""
+    def validate(self, command: str = "all") -> None:
+        """Basic checks always, then what `command` reads of the twist family
+        (`READS`): d at least 1 and coprime to p, the family (p, q, k, d), and
+        each level of n_list.  With no argument this checks everything `all`
+        reads."""
+        reads = READS.get(command, 0)
         if self.p >= carries.PRIME_BOUND:
             raise ConfigError(
                 f"p = {self.p} is too large: primality is certified only below {carries.PRIME_BOUND}"
@@ -77,9 +93,9 @@ class RunConfig:
             raise ConfigError(f"p = {self.p} is not prime")
         if self.fmt not in ("json", "csv"):
             raise ConfigError(f"unknown format {self.fmt!r}")
-        if twist_data and self.d < 1:
+        if reads >= TWIST and self.d < 1:
             raise ConfigError(f"d = {self.d} must be at least 1")
-        if twist_data and self.d % self.p == 0:
+        if reads >= TWIST and self.d % self.p == 0:
             raise ConfigError(f"d = {self.d} must be coprime to p = {self.p}")
         for name in ("f", "prec", "cases", "k_neg"):
             if getattr(self, name) < 1:
@@ -93,13 +109,13 @@ class RunConfig:
         for q in self.dwork_qs:
             if self.dwork_trunc < 3 * q:
                 raise ConfigError(f"dwork_trunc = {self.dwork_trunc} must be at least 3q = {3 * q} for q = {q}")
-        if not family_data:
+        if reads < FAMILY:
             return
         try:
             fam = self.family
         except ValueError as e:
             raise ConfigError(str(e)) from None
-        for N in self.n_list if level_data else ():
+        for N in self.n_list if reads >= LEVELS else ():
             try:
                 carries.check_scale(fam.q, N)
                 fam.index(N)
@@ -147,9 +163,6 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
-LEVEL_DATA_COMMANDS = {"sum-estimate", "qexp-check", "zeta-valuations", "all"}
-FAMILY_DATA_COMMANDS = LEVEL_DATA_COMMANDS | {"ode-check"}
-TWIST_DATA_COMMANDS = FAMILY_DATA_COMMANDS | {"cocycle-check"}  # the commands that read d
 # the type of each RunConfig key that is not an int
 KEY_TYPES = {"n_list": list, "fmt": str, "timing": bool}
 
@@ -180,8 +193,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         if type(val) is not want:  # exact: a bool is not an int here
             raise ConfigError(f"{key} = {val!r} must be of type {want.__name__}")
     cfg = RunConfig(**data)
-    cmd = args.command
-    cfg.validate(cmd in LEVEL_DATA_COMMANDS, cmd in FAMILY_DATA_COMMANDS, cmd in TWIST_DATA_COMMANDS)
+    cfg.validate(args.command)
     return cfg
 
 
@@ -244,9 +256,9 @@ def emit(report: Report, fmt: str) -> str:
         for key in row:
             if key not in cols:
                 cols.append(key)
-    buf.write(",".join(cols) + "\n")
-    for row in report.rows:
-        buf.write(",".join(str(row.get(c, "")) for c in cols) + "\n")
+    out = csv.writer(buf, lineterminator="\n")
+    out.writerow(cols)
+    out.writerows([str(row.get(c, "")) for c in cols] for row in report.rows)
     buf.write(f"# verdict: {report.verdict}\n")
     if report.runtime_ms is not None:
         buf.write(f"# runtime_ms: {report.runtime_ms}\n")

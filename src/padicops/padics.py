@@ -75,9 +75,6 @@ def is_p_integral(a: Rational, p: int) -> bool:
     return Fraction(a).denominator % p != 0
 
 
-DEFAULT_PREC = 64  # unit digits carried by default, overridable per run
-
-
 @lru_cache(maxsize=1024)
 def _ppow(p: int, k: int) -> int:
     """p**k, memoised: every operation needs p to a precision, and only a few
@@ -174,7 +171,7 @@ class PadicNumber:
         return cls(p, absprec, 0, 0)
 
     @classmethod
-    def from_rational(cls, a: Rational, p: int, prec: int = DEFAULT_PREC) -> PadicNumber:
+    def from_rational(cls, a: Rational, p: int, prec: int) -> PadicNumber:
         """The int or Fraction `a`, known to `prec` unit digits."""
         num, den = a.numerator, a.denominator
         if num == 0:
@@ -208,11 +205,6 @@ class PadicNumber:
             rep //= p
             v += 1
         return PadicNumber(p, base + v, rep, absprec - base - v)
-
-    def __neg__(self) -> PadicNumber:
-        if self.is_zero():
-            return self
-        return PadicNumber(self.p, self.val, _ppow(self.p, self.relprec) - self.unit, self.relprec)
 
     def __mul__(self, other: PadicNumber) -> PadicNumber:
         p = self.p
@@ -254,7 +246,7 @@ _set_p, _set_val, _set_unit, _set_relprec = (
 )
 
 
-def padic_binom(lam: Rational, n: int, p: int, prec: int = DEFAULT_PREC) -> PadicNumber:
+def padic_binom(lam: Rational, n: int, p: int, prec: int) -> PadicNumber:
     """binom(lam, n) for a rational p-adic integer lam, known to `prec` unit digits.
 
     binom(lam, n) = prod_{i=1..n} (lam - i + 1)/i: the steps' valuations are

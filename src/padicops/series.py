@@ -1,7 +1,7 @@
-"""Truncated one-variable power series: exact rational coefficients for
-identity checks (y-adically exact, no tail leakage into retained
-coefficients), and a capped-precision p-adic variant for long-range
-valuation work where exact numerators would explode.
+"""Truncated one-variable power series with exact rational coefficients,
+for identity checks: y-adically exact, no tail leakage into retained
+coefficients.  `PSeries` is only the product that the benchmark's tracer
+times; no certificate builds one.
 """
 
 from __future__ import annotations
@@ -190,11 +190,6 @@ def binomial_series(alpha: Rational, order: int, stride: int = 1) -> QSeries:
     return _make(num, b**top * factorial(top))
 
 
-# ---------------------------------------------------------------------------
-# Capped-precision variant
-# ---------------------------------------------------------------------------
-
-
 class PSeries:
     """Power series with PadicNumber coefficients, truncated at a fixed order."""
 
@@ -205,25 +200,8 @@ class PSeries:
         self.prec = prec
         self.coeffs = coeffs
 
-    @classmethod
-    def zero(cls, p: int, prec: int, order: int) -> PSeries:
-        return cls(p, prec, [PadicNumber.zero(p, 10**9) for _ in range(order)])
-
-    @classmethod
-    def from_rationals(cls, p: int, prec: int, coeffs: list[Rational], order: int) -> PSeries:
-        cs = [PadicNumber.from_rational(c, p, prec) for c in coeffs[:order]]
-        cs += [PadicNumber.zero(p, 10**9) for _ in range(order - len(cs))]
-        return cls(p, prec, cs)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs)
-
-    def __getitem__(self, j: int) -> PadicNumber:
-        return self.coeffs[j]
-
     def mul(self, other: PSeries) -> PSeries:
-        n = min(self.order, other.order)
+        n = min(len(self.coeffs), len(other.coeffs))
         out = [PadicNumber.zero(self.p, 10**9) for _ in range(n)]
         for i, a in enumerate(self.coeffs[:n]):
             if a.is_zero():
@@ -233,36 +211,3 @@ class PSeries:
                 if not b.is_zero():
                     out[i + j] = out[i + j] + a * b
         return PSeries(self.p, self.prec, out)
-
-    def add_shifted(self, other: PSeries, k: int, scalar: PadicNumber) -> PSeries:
-        """self + scalar * y^k * other, in place semantics but pure."""
-        out = list(self.coeffs)
-        for j in range(min(other.order, self.order - k)):
-            c = other.coeffs[j]
-            if not c.is_zero():
-                out[j + k] = out[j + k] + scalar * c
-        return PSeries(self.p, self.prec, out)
-
-
-def p_binomial_series(
-    alpha: Rational, p: int, prec: int, order: int, stride: int = 1
-) -> PSeries:
-    """(1 - y^stride)^alpha with capped-precision coefficients.
-
-    Coefficients are built by the incremental recurrence, so only exact
-    multiplications and divisions occur and the relative precision is
-    preserved (alpha must be p-integral for p-integral coefficients).
-    """
-    alpha = Fraction(alpha)
-    an, ad = alpha.numerator, alpha.denominator
-    out = [PadicNumber.zero(p, 10**9) for _ in range(order)]
-    b = PadicNumber.from_rational(1, p, prec)
-    m = 0
-    while m * stride < order:
-        out[m * stride] = b if m % 2 == 0 else -b
-        num = an - m * ad  # (alpha - m) * ad
-        if num == 0:
-            break
-        b = b.mul_rational(num, ad * (m + 1), prec)
-        m += 1
-    return PSeries(p, prec, out)

@@ -85,9 +85,6 @@ class SkewLaurentSeries:
 
     # -- basic structure ----------------------------------------------------
 
-    def support(self) -> list[int]:
-        return sorted(self.coeffs)
-
     def lo(self) -> int:
         return min(self.coeffs) if self.coeffs else 0
 
@@ -108,7 +105,7 @@ class SkewLaurentSeries:
     def __repr__(self) -> str:
         if not self.coeffs:
             return "0"
-        parts = [f"({self.coeffs[k]})*D^{k}" for k in self.support()]
+        parts = [f"({self.coeffs[k]})*D^{k}" for k in sorted(self.coeffs)]
         flags = "" if self.lo_exact and self.hi_exact else " (truncated)"
         return " + ".join(parts) + flags
 

@@ -42,7 +42,7 @@ class TwistData:
 
 
 @lru_cache(maxsize=H_MEMO_SIZE)
-def h_sequence(u: RF, d: int, depth: int, p: int | None = None) -> TwistData:
+def h_sequence(u: RF, d: int, depth: int, p: int) -> TwistData:
     """Coefficients h[0..depth] of the twist by (u, d); requires p coprime to d.
 
     Memoised per (u, d, depth, p): cocycle-check meets each unit many times,
@@ -50,7 +50,7 @@ def h_sequence(u: RF, d: int, depth: int, p: int | None = None) -> TwistData:
     """
     if u.is_zero():
         raise ValueError("u must be a unit")
-    if p is not None and d % p == 0:
+    if d % p == 0:
         raise ValueError(f"d = {d} is divisible by p = {p}")
     h1 = dlog(u).scale(Fraction(-1, d))
     h: list[RF] = [RF.const(1), h1]

@@ -19,6 +19,7 @@ from math import factorial
 
 from .carries import CheckFailed, Family, SpecialIndex, sum_estimate, SumReport
 from .padics import PadicNumber, _ppow, _split, padic_binom, vp_int, vp_rational
+from .ratfun import conv
 from .series import QSeries, binomial_series
 
 F = Fraction
@@ -279,11 +280,7 @@ def phi_series_coefficient(p: int, q: int, k: int, d: int, n_target: int, prec: 
     top = padic_binom(lam, n, p, R)  # binom(lam - m, n)
     S = PadicNumber.zero(p, R)
     for m in range(1, min(P, J) + 1):
-        prod = [0] * (len(fm) + c)
-        for j, a in enumerate(fm):
-            for t, g in enumerate(fpoly):
-                prod[j + t] += a * g
-        fm = [a % mod for a in prod]
+        fm = [a % mod for a in conv(fm, fpoly)]
         bm = bm.mul_rational(ln - (m - 1) * ld, ld * m, R)
         top = top.mul_rational(ln + (1 - m - n) * ld, ln + (1 - m) * ld, R)  # across in m
         # [y^(J-m)] f^m (1-s)^(lam-m): l = J - m - c i must lie in 0..deg f^m
@@ -318,7 +315,7 @@ class ProfileRow:
     cross_checked: bool
 
 
-def phi_valuation_profile(fam: Family, n_list: list[int], prec: int = 60) -> list[ProfileRow]:
+def phi_valuation_profile(fam: Family, n_list: list[int], prec: int) -> list[ProfileRow]:
     """For each N: the valuation of the coefficient sum via the carry route,
     and the independent series route for the same coefficient; the row is
     cross-checked when both values agree to at least prec/2 digits, and on

@@ -454,7 +454,7 @@ class TestSumEstimate:
 
     def test_desk_scale_cap(self):
         with pytest.raises(ValueError):
-            sum_estimate(norm_index(3, 1, 1, 12))
+            sum_estimate(norm_index(3, 1, 1, 12), 64)
 
     def test_monotone_decrease(self):
         vals = [sum_estimate(norm_index(2, 1, 1, N), 40).v_sum for N in (6, 8, 10)]

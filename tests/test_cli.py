@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -69,17 +70,29 @@ class TestFormatting:
         assert code == EXIT_OK and last.startswith("# runtime_ms: ")
         assert int(last.removeprefix("# runtime_ms: ")) >= 0
 
-    def test_csv_json_round_trip(self):
-        rows = [{"a": 1, "b": "-3/2"}, {"a": 2, "b": "inf"}]
-        rep = Report("demo", "claim", {"p": 3}, rows)
-        csv_text = emit(rep, "csv")
+    @staticmethod
+    def assert_csv_matches_json(csv_text, json_text):
+        """The csv table parses into rows as wide as its header, and each cell
+        is the str of the JSON row's value ("" for a missing key)."""
         lines = [l for l in csv_text.splitlines() if not l.startswith("#")]
-        header = lines[0].split(",")
-        parsed = [dict(zip(header, l.split(","))) for l in lines[1:]]
-        jo = json.loads(emit(rep, "json"))
-        for row_csv, row_json in zip(parsed, jo["rows"]):
-            for key in header:
-                assert row_csv[key] == str(row_json[key])
+        header, *rows = csv.reader(lines)
+        json_rows = json.loads(json_text)["rows"]
+        assert len(rows) == len(json_rows)
+        for row_csv, row_json in zip(rows, json_rows):
+            assert len(row_csv) == len(header), row_csv
+            assert row_csv == [str(row_json.get(key, "")) for key in header]
+
+    def test_csv_json_round_trip(self):
+        rows = [{"a": 1, "b": "-3/2"}, {"a": 2, "b": "inf", "c": "x,\"y\""}]
+        rep = Report("demo", "claim", {"p": 3}, rows)
+        self.assert_csv_matches_json(emit(rep, "csv"), emit(rep, "json"))
+        # cells with a comma: dwork-check's check names, zeta-valuations' series_value
+        for args in (["dwork-check", "--q", "2"], ["zeta-valuations"]):
+            code, csv_text, _ = run_cli([*args, "--format", "csv"])
+            assert code == EXIT_OK and '"' in csv_text
+            code, json_text, _ = run_cli([*args, "--format", "json"])
+            assert code == EXIT_OK
+            self.assert_csv_matches_json(csv_text, json_text)
 
 
 class TestConfig:
@@ -107,25 +120,25 @@ class TestConfig:
     def test_parity_rule_enforced(self):
         cfg = RunConfig(p=3, f=1, k=1, d=4, n_list=[7])
         with pytest.raises(ConfigError, match="parity"):
-            cfg.validate()
+            cfg.validate("all")
 
     def test_d_must_divide(self):
         with pytest.raises(ConfigError, match="divide"):
-            RunConfig(p=3, f=1, d=5).validate()
+            RunConfig(p=3, f=1, d=5).validate("all")
 
     def test_p_coprime_d(self):
         with pytest.raises(ConfigError, match="coprime"):
-            RunConfig(p=2, d=2, k=1).validate(level_data=False)
+            RunConfig(p=2, d=2, k=1).validate("ode-check")
 
     @pytest.mark.parametrize("p", [1, 4, 10403, 101 * 101, 9973 * 9967])
     def test_composite_p_rejected(self, p):
         # 10403 = 101 * 103 has no factor below 100
         with pytest.raises(ConfigError, match="not prime"):
-            RunConfig(p=p, d=2).validate(level_data=False)
+            RunConfig(p=p, d=2).validate("ode-check")
 
     @pytest.mark.parametrize("p", [2, 3, 97, 101, 10007])
     def test_primes_accepted(self, p):
-        RunConfig(p=p, d=p + 1 if p == 2 else 2).validate(level_data=False)
+        RunConfig(p=p, d=p + 1 if p == 2 else 2).validate("ode-check")
 
 
 class TestPrimality:
@@ -148,13 +161,13 @@ class TestPrimality:
 
     def test_mersenne_61_validates_fast(self):
         t0 = time.perf_counter()
-        RunConfig(p=2**61 - 1, d=2).validate(level_data=False)
+        RunConfig(p=2**61 - 1, d=2).validate("ode-check")
         assert time.perf_counter() - t0 < 0.1
         assert is_prime(2**31 - 1) and not is_prime(2**67 - 1)  # 2^67 - 1 = 193707721 * 761838257287
 
     def test_past_the_bound_rejected(self):
         with pytest.raises(ConfigError, match="too large"):
-            RunConfig(p=2**107 - 1, d=2).validate(level_data=False)
+            RunConfig(p=2**107 - 1, d=2).validate("ode-check")
 
     def test_strong_pseudoprime_exit_2(self):
         # 3215031751 passes Miller-Rabin to the bases 2, 3, 5 and 7

@@ -16,11 +16,12 @@ Dunder methods are not reported.  The match is by name only: it can miss
 dead code that shares a name with live code, but it never reports live code.
 
 A definition that only tests call stays only if KEPT says why, and KEPT
-holds two kinds only: library code that a release gate tests as library
-code (the level-m basis of acceptance criterion 8), and code that the
-benchmark's tracer binds (PSeries, until the tracer is retargeted).  A
-reference implementation that the tests compare against is no such code: it
-lives in tests/oracles.py.
+holds one kind only: library code that a release gate tests as library code
+(the level-m basis of acceptance criterion 8).  What the benchmark's tracer
+binds is reached through its string targets, so `PSeries` keeps only the
+`mul` that perfbench/tracer.py names; a member added beside it and reached
+only from tests fails the check above.  A reference implementation that the
+tests compare against is no such code: it lives in tests/oracles.py.
 """
 
 import ast
@@ -36,11 +37,6 @@ KEPT = {
     "skew.DividedPowerOperator": "the level-m basis that acceptance criterion 8 builds",
     "skew.binoma": "oracle for the level-m binomials in TestLevelM",
     "skew.binomb": "oracle for the level-m binomials in TestLevelM",
-    # PSeries is bound by the benchmark's tracer (series.PSeries.mul) and
-    # goes together with that tracer target
-    "series.PSeries.from_rationals": "part of the PSeries type the tracer wraps",
-    "series.PSeries.add_shifted": "part of the PSeries type the tracer wraps",
-    "series.p_binomial_series": "builds PSeries inputs for the type the tracer wraps",
 }
 
 

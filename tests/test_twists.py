@@ -42,12 +42,12 @@ class TestHSequence:
         assert tw.h[0] == RF.const(1)
 
     def test_trivial_unit(self):
-        tw = h_sequence(RF.const(1), 3, 5)
+        tw = h_sequence(RF.const(1), 3, 5, 5)
         assert all(h.is_zero() for h in tw.h[1:])
 
     def test_monomial_closed_form(self):
         for alpha, k, d in [(2, 1, 2), (0, 2, 3), (-1, 3, 4)]:
-            tw = h_sequence(RF.from_factors(1, {alpha: k}), d, 8)
+            tw = h_sequence(RF.from_factors(1, {alpha: k}), d, 8, 5)
             for n in range(9):
                 assert tw.h[n] == h_closed_form_monomial(alpha, k, d, n)
 
@@ -73,7 +73,7 @@ class TestHSequence:
     def test_convolution_recurrence(self):
         # the alternative recurrence (l+1) h[l+1] = sum h[n] D^[l-n](h[1])
         u = RF.from_factors(F(2), {0: 2, 1: -1})
-        tw = h_sequence(u, 3, 31)
+        tw = h_sequence(u, 3, 31, 5)
         for ell in range(30):
             rhs = RF.const(0)
             for n in range(ell + 1):
@@ -86,19 +86,19 @@ class TestHSequence:
 
 class TestTheta:
     def test_on_partial(self):
-        tw = h_sequence(x, 2, 3)
+        tw = h_sequence(x, 2, 3, 5)
         assert theta_partial(tw) == S.of({1: RF.const(1), 0: tw.h[1]})
 
     def test_identity_twist(self):
-        tw = h_sequence(RF.const(5), 3, 6)
+        tw = h_sequence(RF.const(5), 3, 6, 5)
         q = S.of({2: Poly.of(1, 1), 0: Poly.of(3)})
         assert theta_apply(tw, q) == q
 
     def test_multiplicativity(self):
         u1 = RF.from_factors(1, {0: 1})
         u2 = RF.from_factors(1, {1: 2})
-        tw1, tw2 = h_sequence(u1, 5, 12), h_sequence(u2, 5, 12)
-        tw12 = h_sequence(u1 * u2, 5, 12)
+        tw1, tw2 = h_sequence(u1, 5, 12, 3), h_sequence(u2, 5, 12, 3)
+        tw12 = h_sequence(u1 * u2, 5, 12, 3)
         for n in range(11):
             dn = S.of({n: F(1, math.factorial(n))})
             assert theta_apply(tw12, dn) == theta_apply(tw1, theta_apply(tw2, dn))
@@ -131,7 +131,7 @@ class TestTheta:
         assert len(scales) == 2 * len(bg.coeffs)  # 22 at depth 10, not 66
 
     def test_depth_guard(self):
-        tw = h_sequence(x, 2, 3)
+        tw = h_sequence(x, 2, 3, 5)
         with pytest.raises(ValueError):
             theta_apply(tw, S.of({5: 1}))
 
@@ -140,7 +140,7 @@ class TestTheta:
         # sum binom(k/d, n) n! P_n (x-a)^(-n)
         a, k, d = F(1), 2, 3
         u = RF.from_factors(1, {a: k})
-        tw_inv = h_sequence(u.inverse(), d, 12)
+        tw_inv = h_sequence(u.inverse(), d, 12, 5)
         rng = random.Random(17)
         for _ in range(20):
             P = {n: Poly.of(*[rng.randint(-3, 3) for _ in range(2)]) for n in range(rng.randint(1, 6))}
@@ -183,9 +183,9 @@ class TestTheta:
             return S.of({1: op.c1, 0: op.c0})
 
         R_u = as_series(relator(pts, u, d))
-        tw_u = h_sequence(u, d, 4)
+        tw_u = h_sequence(u, d, 4, 3)
         assert R_u == star(S.of({0: delta}), theta_partial(tw_u))
-        tw_shift = h_sequence(u * delta**d, d, 4)
+        tw_shift = h_sequence(u * delta**d, d, 4, 3)
         assert R_u == star(theta_partial(tw_shift), S.of({0: delta}))
         R_uv = as_series(relator(pts, u * v, d))
         R_v = as_series(relator(pts, v, d))

@@ -367,4 +367,4 @@ class TestProfile:
 
     def test_rejects_bad_d(self):
         with pytest.raises(ValueError):
-            phi_valuation_profile(Family(3, 3, 1, 3), [6])
+            phi_valuation_profile(Family(3, 3, 1, 3), [6], 60)
