@@ -42,8 +42,7 @@ class CarryProfile:
     """Carries occurring in the base-p addition lam + n.
 
     gammas[i] is the i-th carry bit; L is the position after which no carry
-    occurs (INF exactly when lam is a negative integer with n >= -lam);
-    noncarries[j] counts zero bits among the first j.
+    occurs (INF exactly when lam is a negative integer with n >= -lam).
     """
 
     lam: Fraction
@@ -51,7 +50,6 @@ class CarryProfile:
     p: int
     gammas: tuple[int, ...]  # every resolved carry bit (at least the first m)
     L: int | float
-    noncarries: tuple[int, ...]  # N_j for j = 0..m
 
     def __post_init__(self):
         # a finite L ends the carrying: gamma_(L-1) = 1, and no carry at or past L
@@ -65,7 +63,7 @@ class CarryProfile:
 
 
 def carry_profile(lam: Rational, n: int, m: int, p: int) -> CarryProfile:
-    """Carry bits gamma_0..gamma_{m-1} of lam + n, plus L and non-carry counts.
+    """Carry bits gamma_0..gamma_{m-1} of lam + n, plus L.
 
     The profile is extended beyond m if needed so that L is always resolved:
     past the digits of n a carry persists only while the current digit of lam
@@ -102,11 +100,8 @@ def carry_profile(lam: Rational, n: int, m: int, p: int) -> CarryProfile:
         for j, g in enumerate(gammas):
             if g == 1:
                 L = j + 1
-    nc = [0]
-    for g in gammas[:m]:
-        nc.append(nc[-1] + (1 - g))
     # keep every resolved bit (>= m of them) so total carries can be counted
-    return CarryProfile(lam, n, p, tuple(gammas), L, tuple(nc))
+    return CarryProfile(lam, n, p, tuple(gammas), L)
 
 
 def vp_binom_kummer(lam: Rational, n: int, p: int) -> int | float:

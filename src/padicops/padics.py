@@ -218,17 +218,16 @@ class PadicNumber:
         rel = min(self.relprec, other.relprec)
         return PadicNumber(p, self.val + other.val, self.unit * other.unit % _ppow(p, rel), rel)
 
-    def mul_rational(self, num: int, den: int, prec: int | None = None) -> PadicNumber:
+    def mul_rational(self, num: int, den: int, prec: int) -> PadicNumber:
         """self * num/den for integers num, den (not necessarily coprime).
 
-        The scalar counts as known to `prec` unit digits (default: this
-        number's relprec, at least 1), so the result equals
-        self * from_rational(num/den, p, prec) without building the scalar.
+        The scalar counts as known to `prec` unit digits, so the result
+        equals self * from_rational(num/den, p, prec) without building the
+        scalar.
         """
         if den == 0:
             raise ZeroDivisionError(f"mul_rational by {num}/0")
         p = self.p
-        prec = prec or max(self.relprec, 1)
         if num == 0:
             # 0 mod p^prec times p^v*unit is 0 mod p^(prec+v); times a zero known mod p^A: p^(prec+A)
             return PadicNumber.zero(p, (self.val if self.unit else self.absprec) + prec)

@@ -441,10 +441,6 @@ class RationalFunction(_Immutable):
 
     # -- views ---------------------------------------------------------------
 
-    @property
-    def den(self) -> Poly:
-        return expand_factors(self.den_factors)
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -459,7 +455,7 @@ class RationalFunction(_Immutable):
     def __repr__(self) -> str:
         if not self.den_factors:
             return f"{self.num}"
-        return f"({self.num})/({self.den})"
+        return f"({self.num})/({expand_factors(self.den_factors)})"
 
     # -- arithmetic ----------------------------------------------------------
 

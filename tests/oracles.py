@@ -8,8 +8,10 @@ that starts with `_`) is read here; `tests/test_surface.py` holds that rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from padicops.padics import PadicNumber, PrecisionExhausted, binom_rational, vp_rational
 from padicops.ratfun import MobiusMap, Poly, RationalFunction
@@ -113,3 +115,65 @@ def h_closed_form_monomial(alpha, k: int, d: int, n: int) -> RF:
     """h[n] for u = (x - alpha)^k: binom(-k/d, n) (x - alpha)^(-n), the
     closed-form oracle for h_sequence."""
     return RF(Poly.of(1), {alpha: n}).scale(binom_rational(Fraction(-k, d), n))
+
+
+def monomial(j: int) -> Poly:
+    """x^j."""
+    return Poly.of(*([0] * j + [1]))
+
+
+def dwork_action(c, f: Poly) -> Poly:
+    """sum_k (c_k/k!) x^k D^k f by the derivative loop, for the operator
+    coefficients c of `dwork.DworkOperator`: the oracle for its eigenvalues."""
+    out, d = Poly(()), f
+    for k, ck in enumerate(c):
+        if d.is_zero():
+            break
+        if ck:
+            out = out + (monomial(k) * d).scale(Fraction(ck, math.factorial(k)))
+        d = d.derivative()
+    return out
+
+
+def euler(f: Poly, shift) -> Poly:
+    """(x d/dx - shift) f: the x^n coefficient of f is scaled by n - shift."""
+    return Poly(c * (n - shift) for n, c in enumerate(f.coeffs))
+
+
+def dwork_monomial_failures(q: int, trunc: int, c) -> list[str]:
+    """The monomial checks of `dwork.dwork_identities` on polynomials: the
+    projector, idempotent and partition laws on x^j, q - 1 <= j <= trunc - q."""
+    H = partial(dwork_action, c)
+    failures = []
+    for j in range(q - 1, trunc - q + 1):
+        xj = monomial(j)
+        if H(xj) != (xj if j % q == 0 else Poly(())):
+            failures.append(f"projector action fails on x^{j}")
+        if H(H(xj)) != H(xj):
+            failures.append(f"H(H(x^{j})) != H(x^{j})")
+        # x^i H x^-i acting on x^j: shift down, project, shift up
+        total = sum((monomial(i) * H(monomial(j - i)) for i in range(q)), Poly(()))
+        if total != xj:
+            failures.append(f"partition of unity fails on x^{j}")
+    return failures
+
+
+def dwork_descent_failures(q: int, lam, i: int, trunc: int, c) -> list[str]:
+    """`dwork.frobenius_relation` on polynomials: both sides of the descent
+    relation on x^j, i <= j <= trunc - q, then its aggregate form."""
+    lam = Fraction(lam)
+    H = partial(dwork_action, c)
+    failures = []
+    for j in range(i, trunc - q + 1):
+        inner = H(monomial(j - i))
+        core = euler(H(inner), 0).scale(Fraction(1, q)) - H(inner).scale(Fraction(lam - i, q))
+        if monomial(i) * core != euler(monomial(i) * inner, lam).scale(Fraction(1, q)):
+            failures.append(f"descent relation fails at i={i}, x^{j}")
+    for j in range(q - 1, trunc - q + 1):
+        total = sum(
+            (euler(monomial(ii) * H(monomial(j - ii)), lam).scale(Fraction(1, q)) for ii in range(q)),
+            Poly(()),
+        )
+        if total != euler(monomial(j), lam).scale(Fraction(1, q)):
+            failures.append(f"aggregate descent fails on x^{j}")
+    return failures

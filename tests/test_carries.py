@@ -106,7 +106,7 @@ class TestCarryProfile:
         prof = carry_profile(5, 7, 2, 3)
         assert prof.gammas[:2] == (1, 1)
         assert prof.L == 2
-        assert prof.noncarries[2] == 0
+        assert 0 not in prof.gammas[:2]
 
     def test_adding_zero(self):
         prof = carry_profile(0, 987, 5, 7)

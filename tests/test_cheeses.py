@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 from padicops.cheeses import circle_valuation, gauss_valuation
 from padicops.padics import vp_rational
-from padicops.ratfun import Poly, RationalFunction
+from padicops.ratfun import Poly, RationalFunction, expand_factors
 from padicops.twists import h_sequence
 
 from hypothesis import given, settings
@@ -65,9 +65,10 @@ class TestSupNorm:
                      for _ in range(rng.randrange(0, 3))}
             f = RF.from_factors(F(rng.randrange(1, 50), rng.randrange(1, 50)),
                                 {**zeros, **{r: -m for r, m in poles.items()}})
+            den = expand_factors(f.den_factors)
             for center in (next(iter(poles)), F(rng.randrange(-30, 31), rng.choice([1, p])), 0):
                 e = F(rng.randrange(-6, 7), rng.choice([1, 2, 3]))
-                want = poly_valuation(f.num, p, center, e) - poly_valuation(f.den, p, center, e)
+                want = poly_valuation(f.num, p, center, e) - poly_valuation(den, p, center, e)
                 assert circle_valuation(f, p, center, e) == want, (f, p, center, e)
 
     @given(case=circle_cases())

@@ -1,16 +1,14 @@
-import math
 import random
 from fractions import Fraction as F
-from functools import lru_cache
 
 import pytest
 
+from oracles import dwork_action, dwork_descent_failures, dwork_monomial_failures, monomial
 from padicops import dwork
 from padicops.dwork import (
     dwork_build,
     dwork_coefficients,
     dwork_identities,
-    euler,
     frobenius_relation,
 )
 from padicops.ratfun import Poly
@@ -47,43 +45,36 @@ class TestProjector:
         for q in (2, 3):
             H = dwork_build(q, 12)
             for j in range(13):
-                got = H.apply_poly(Poly.of(*([0] * j + [1])))
-                want = Poly.of(*([0] * j + [1])) if j % q == 0 else Poly(())
-                assert got == want
+                assert H.eigenvalue(j) == (1 if j % q == 0 else 0)
 
     def test_action_by_linearity_matches_the_derivative_loop(self):
-        def derivative_loop(H, f):
-            # sum_k (c_k/k!) x^k D^k f on the whole polynomial, as first written
-            out, d = Poly(()), f
-            for k, ck in enumerate(H.c):
-                if d.is_zero():
-                    break
-                if ck:
-                    out = out + (Poly.of(*([0] * k + [1])) * d).scale(F(ck, math.factorial(k)))
-                d = d.derivative()
-            return out
-
+        # H(x^e) = h_e x^e, and on any polynomial H(sum a_e x^e) = sum a_e h_e x^e
         r = random.Random(3)
         for q, trunc in ((2, 9), (3, 12), (5, 15)):
             H = dwork_build(q, trunc)
+            for e in range(trunc + 1):
+                assert dwork_action(H.c, monomial(e)) == Poly.of(*([0] * e + [H.eigenvalue(e)]))
             for _ in range(30):
                 f = Poly(F(r.randint(-9, 9), r.randint(1, 5)) for _ in range(r.randint(0, trunc + 1)))
-                assert H.apply_poly(f) == derivative_loop(H, f)
+                want = Poly(a * H.eigenvalue(e) for e, a in enumerate(f.coeffs))
+                assert dwork_action(H.c, f) == want
 
     def test_each_monomial_image_is_built_once(self, monkeypatch):
-        built = []
-        real = dwork.monomial_image.__wrapped__
-        monkeypatch.setattr(dwork, "monomial_image",
-                            lru_cache(maxsize=dwork.IMAGE_MEMO_SIZE)(lambda c, e: built.append(e) or real(c, e)))
-        H = dwork_build(3, 12)
-        for _ in range(3):
-            H.apply_poly(Poly.of(*range(1, 14)))
-        assert sorted(built) == list(range(13))
+        # the checks compare eigenvalues: no polynomial arithmetic at all
+        calls = []
+        for name in ("__mul__", "__add__", "scale", "derivative"):
+            real = getattr(Poly, name)
+            monkeypatch.setattr(Poly, name, lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a))
+        for q in (2, 3):
+            assert dwork_identities(q, 13).ok
+            for lam, i in ((0, 0), (F(1, 2), 1), (5, q - 1)):
+                assert frobenius_relation(q, lam, i, 13).ok
+        assert calls == []
 
     def test_truncation_guard(self):
         H = dwork_build(2, 6)
         with pytest.raises(ValueError):
-            H.apply_poly(Poly.of(*([0] * 9 + [1])))
+            H.eigenvalue(9)
         with pytest.raises(ValueError):
             dwork_build(3, 2)
 
@@ -107,19 +98,39 @@ class TestIdentities:
             frobenius_relation(2, 0, 2, 12)
 
 
-def monomial_euler(f, shift):
-    """(x d/dx - shift) f as the monomial sum it was first written as."""
-    out = Poly(())
-    for n, c in enumerate(f.coeffs):
-        out = out + Poly.of(*([0] * n + [c * (n - shift)]))
-    return out
+def planted(mutate):
+    """dwork_coefficients with the k-th coefficient c replaced by mutate(k, c)."""
+    def coefficients(q, count):
+        return tuple(mutate(k, c) for k, c in enumerate(dwork_coefficients(q, count)))
+
+    return coefficients
 
 
-def test_euler_builds_one_polynomial_equal_to_the_monomial_sum():
-    r = random.Random(5)
-    for _ in range(200):
-        f = Poly(F(r.randint(-9, 9), r.randint(1, 6)) for _ in range(r.randint(0, 12)))
-        shift = r.choice([0, r.randint(-5, 12), F(r.randint(-20, 20), r.randint(1, 7))])
-        assert euler(f, shift) == monomial_euler(f, shift)
-    # the shift can kill a coefficient, the top one included
-    assert euler(Poly.of(1, 2, 3), 2) == Poly.of(-2, -2)
+MUTANTS = {
+    "honest": lambda k, c: c,
+    "sign of c_2": lambda k, c: -c if k == 2 else c,
+    "c_3 plus one": lambda k, c: c + 1 if k == 3 else c,
+    "top coefficient doubled": lambda k, c: 2 * c if k == 13 else c,
+    "odd coefficients zeroed": lambda k, c: 0 if k % 2 else c,
+}
+
+
+def test_euler_builds_one_polynomial_equal_to_the_monomial_sum(monkeypatch):
+    # the eigenvalue checks report what the polynomial route reports, failure
+    # for failure, under planted coefficient mutants
+    total = 0
+    for name, mutate in MUTANTS.items():
+        monkeypatch.setattr(dwork, "dwork_coefficients", planted(mutate))
+        for q in (2, 3):
+            c = dwork_build(q, 13).c
+            rep = dwork_identities(q, 13)
+            star_part = [f for f in rep.failures if "D-degree" in f]
+            assert list(rep.failures) == star_part + dwork_monomial_failures(q, 13, c), name
+            total += len(rep.failures) - len(star_part)
+            for lam, i in ((0, 0), (F(1, 2), 1), (F(2, 3), q - 1), (5, 1)):
+                want = dwork_descent_failures(q, lam, i, 13, c)
+                assert list(frobenius_relation(q, lam, i, 13).failures) == want, (name, q, lam, i)
+                total += len(want)
+        if name == "honest":
+            assert total == 0
+    assert total > 0

@@ -167,7 +167,7 @@ class TestPadicNumber:
 
     def test_tracked_zero(self):
         one = PadicNumber.from_rational(1, 3, 40)
-        z = one + one.mul_rational(-1, 1)
+        z = one + one.mul_rational(-1, 1, max(one.relprec, 1))
         assert z.is_zero() and z.absprec == 40
 
     def test_digit_expansion_of_half(self):
@@ -187,7 +187,7 @@ class TestPadicNumber:
     def test_cancellation_detection(self):
         a = PadicNumber.from_rational(1, 3, 20)
         b = PadicNumber.from_rational(1 + 3**5, 3, 20)
-        d = b + a.mul_rational(-1, 1)
+        d = b + a.mul_rational(-1, 1, max(a.relprec, 1))
         assert d.val == 5 and d.absprec == 20
 
     @given(
@@ -201,7 +201,7 @@ class TestPadicNumber:
         pb = PadicNumber.from_rational(b, p, 30)
         for op, res in [
             (lambda x, y: x + y, a + b),
-            (lambda x, y: x + y.mul_rational(-1, 1), a - b),
+            (lambda x, y: x + y.mul_rational(-1, 1, max(y.relprec, 1)), a - b),
             (lambda x, y: x * y, a * b),
         ]:
             got = op(pa, pb)
@@ -245,8 +245,8 @@ def _check_mul_rational(x, exact_x, num, den, prec):
     """x.mul_rational(num, den, prec) against exact Fraction arithmetic, with
     exact_x the rational that x approximates (0 for a tracked zero)."""
     p = x.p
-    got = x.mul_rational(num, den, prec)
-    scalar_prec = prec or max(x.relprec, 1)
+    scalar_prec = prec or max(x.relprec, 1)  # prec None stands for this number's relprec
+    got = x.mul_rational(num, den, scalar_prec)
     # the product by a scalar known to scalar_prec digits, built the long way
     assert got == x * PadicNumber.from_rational(F(num, den), p, scalar_prec)
     if num == 0:
@@ -299,12 +299,13 @@ class TestMulRational:
 
     def test_examples(self):
         x = PadicNumber.from_rational(F(1, 2), 3, 10)
-        assert x.mul_rational(0, 7) == PadicNumber.zero(3, 10)
-        assert x.mul_rational(6, 4) == PadicNumber.from_rational(F(3, 4), 3, 10)
+        assert x.mul_rational(0, 7, max(x.relprec, 1)) == PadicNumber.zero(3, 10)
+        assert x.mul_rational(6, 4, max(x.relprec, 1)) == PadicNumber.from_rational(F(3, 4), 3, 10)
         assert x.mul_rational(4, -9, 3) == PadicNumber.from_rational(F(-2, 9), 3, 3)
-        assert PadicNumber.zero(3, 5).mul_rational(1, 3) == PadicNumber.zero(3, 4)
+        z = PadicNumber.zero(3, 5)
+        assert z.mul_rational(1, 3, max(z.relprec, 1)) == PadicNumber.zero(3, 4)
         with pytest.raises(ZeroDivisionError):
-            x.mul_rational(1, 0)
+            x.mul_rational(1, 0, max(x.relprec, 1))
 
     def test_from_rational_strips_p(self):
         for a, p in [(F(-18, 35), 3), (F(5, 48), 2), (250, 5), (-1, 7)]:

@@ -12,6 +12,7 @@ from oracles import (
     FirstOrderOperator,
     act_partial_coefficient,
     act_point,
+    delta_poly,
     mobius_inverse,
     poly_eval,
     relator,
@@ -27,6 +28,7 @@ from padicops.ratfun import (
     dlog,
     rational_roots,
 )
+from padicops.twists import h_sequence, theta_partial
 
 RF = RationalFunction
 
@@ -442,6 +444,9 @@ class TestMobius:
     def test_varrho_needs_triangular(self):
         with pytest.raises(ValueError):
             varrho(MobiusMap.of(1, 0, 1, 1))
+        # on a triangular map g.x = x / varrho(g) + const
+        g = MobiusMap.of(2, 3, 0, 5)
+        assert g.act_x().derivative() == RF.const(1 / varrho(g))
 
     def test_group_action_on_functions(self):
         rng = random.Random(11)
@@ -511,6 +516,16 @@ class TestMobius:
         assert act_partial_coefficient(g) == RF.const(F(2, 3))
         h = MobiusMap.of(1, 0, 1, 1)
         assert act_partial_coefficient(h) == RF(Poly.of(1, -1) ** 2)
+        # g.(d/dx) = (1 / (d/dx)(g.x)) d/dx, by the chain rule for u(g^-1.x)
+        for m in (g, h):
+            assert act_partial_coefficient(m) * m.act_x().derivative() == RF.const(1)
+
+
+def relator_by_twist(points, u, d, p):
+    """Delta * theta(D), theta(D) = D + h[1] the library's twisted derivation."""
+    delta = RF(delta_poly({F(a) for a in points}))
+    theta = theta_partial(h_sequence(u, d, 1, p))
+    return FirstOrderOperator(delta * theta[1], delta * theta[0])
 
 
 class TestRelator:
@@ -519,15 +534,19 @@ class TestRelator:
         R = relator({a}, RF.from_factors(1, {a: k}), d)
         assert R.c1 == RF(Poly.x_minus(a))
         assert R.c0 == RF.const(F(-3, 4))
+        assert R == relator_by_twist({a}, RF.from_factors(1, {a: k}), d, 3)
 
     def test_trivial_unit(self):
         R = relator({0, 1}, RF.const(1), 5)
         assert R.c0.is_zero()
         assert R.c1 == RF(Poly.of(0, -1) + Poly.of(0, 0, 1))
+        assert R == relator_by_twist({0, 1}, RF.const(1), 5, 2)
 
     def test_support_containment(self):
         with pytest.raises(ValueError):
             relator({0}, RF.from_factors(1, {1: 2}), 3)
+        u = RF.from_factors(1, {1: 2})
+        assert relator({0, 1}, u, 3) == relator_by_twist({0, 1}, u, 3, 2)
 
     def test_kills_the_root_symbolically(self):
         # R applied to the formal d-th root: (x-a) (k/d)(x-a)^(-1) u^(1/d)-term

@@ -1,6 +1,8 @@
-"""scripts/blowup_table.py: every headline row is confirmed by both routes."""
+"""scripts/blowup_table.py: every headline row is confirmed by both routes;
+scripts/reachability.py: lists what a CLI run never calls."""
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -9,7 +11,8 @@ import pytest
 from padicops import zeta
 from padicops.padics import PadicNumber
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "blowup_table.py"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+SCRIPT = SCRIPTS / "blowup_table.py"
 
 
 @pytest.fixture
@@ -41,3 +44,16 @@ def test_row_not_cross_checked_exits_1(blowup_table, monkeypatch, capsys):
     monkeypatch.setattr(zeta, "phi_series_coefficient", off_by_one)
     assert blowup_table.main() == 1
     assert "agree on only" in capsys.readouterr().err
+
+
+def test_reachability_lists_what_kummer_table_never_calls():
+    # a fresh process, so no cache warmed by other tests hides a call
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "reachability.py"), "kummer-table", "--cases", "5"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    unrun = proc.stdout.split()
+    assert "series.PSeries.mul" in unrun
+    assert "carries.vp_binom_kummer" not in unrun
+    assert not any(name.split(".")[-1].startswith("__") for name in unrun)
